@@ -20,7 +20,6 @@ from .graph_core import (
     dump_edge_list,
     hop_limited_dist,
     is_acyclic,
-    lift_shortcuts,
     load_edge_list,
     scc_star_edges,
     transitive_closure,
@@ -81,7 +80,6 @@ __all__ = [
     "dump_edge_list",
     "hop_limited_dist",
     "is_acyclic",
-    "lift_shortcuts",
     "load_edge_list",
     "scc_star_edges",
     "transitive_closure",

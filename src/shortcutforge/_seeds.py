@@ -21,3 +21,12 @@ def site_rng(seed: int, site: int) -> np.random.Generator:
 
 def child_seed(seed: int) -> int:
     return int(site_rng(seed, SITE_CHILD_SEED).integers(0, 2**63 - 1))
+
+
+def sample_mask(seed: int, site: int, count: int, prob: float) -> np.ndarray:
+    """Keep each of ``count`` items with probability ``prob``, drawn from (seed, site)."""
+    if count == 0:
+        return np.zeros(0, dtype=bool)
+    if prob >= 1.0:
+        return np.ones(count, dtype=bool)
+    return site_rng(seed, site).random(count) < prob

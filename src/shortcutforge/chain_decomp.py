@@ -7,8 +7,9 @@ at least the threshold's worth of vertices, so the peeling provably stops
 well inside the budget and the residue has fewer than ceil(2n/ell) levels.
 
 Callers that want chains of the reachability order rather than of the raw
-edge set pass the closure graph; antichain independence is always relative
-to the edges of whatever graph was passed.
+edge set pass the closure itself as a ReachabilityMatrix, whose off-diagonal
+bits then serve as the edges; antichain independence is always relative to
+the edges of whatever was passed.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import Digraph, transitive_closure
+from .graph_core import Digraph, ReachabilityMatrix, check_acyclic, transitive_closure
 
 
 @dataclass(frozen=True)
@@ -49,23 +50,28 @@ def _longest_path_dp(
     return dp, parent
 
 
-def decompose(dag: Digraph, ell: int) -> ChainDecomposition:
-    """(ell, 2n/ell)-decomposition: <= ell chains, <= ceil(2n/ell) antichains."""
+def decompose(dag: Digraph | ReachabilityMatrix, ell: int) -> ChainDecomposition:
+    """(ell, 2n/ell)-decomposition: <= ell chains, <= ceil(2n/ell) antichains.
+
+    A ReachabilityMatrix must be a transitive closure (reflexive and
+    transitive); it is then used as the closure without recomputing it.
+    """
     n = dag.n
     if not 1 <= ell <= n:
         raise ValueError(f"ell={ell} outside [1, n={n}]")
-    closure = transitive_closure(dag)
-    cyclic = closure.bits & closure.bits.T
-    np.fill_diagonal(cyclic, False)
-    if cyclic.any():
-        u, v = map(int, np.argwhere(cyclic)[0])
-        raise ValueError(f"input has a cycle through {u} and {v}")
+    if isinstance(dag, ReachabilityMatrix):
+        closure = dag
+        adj_full = closure.bits.copy()
+        np.fill_diagonal(adj_full, False)
+    else:
+        closure = transitive_closure(dag)
+        adj_full = dag.adjacency
+    check_acyclic(closure)
 
     threshold = -(-2 * n // ell)
     # Ancestor counts grow strictly along any edge, so sorting by them is a
     # topological order of every induced subgraph.
     anc = closure.bits.sum(axis=0)
-    adj_full = dag.adjacency
     alive = np.ones(n, dtype=bool)
     chains: list[tuple[int, ...]] = []
 

@@ -2,8 +2,8 @@
 
 Exit codes: 0 ok, 1 verification failure, 2 usage or input error.  Every
 randomized subcommand takes a mandatory --seed, so identical command lines
-produce identical output files.  Bench emits one CSV row per grid cell, in
-config order; cells may run in parallel up to SHORTCUT_FORGE_THREADS.
+produce identical output files.  Bench runs its grid cells one after another
+and emits one CSV row per cell, in config order.
 """
 
 from __future__ import annotations
@@ -11,10 +11,8 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -25,7 +23,6 @@ from .generators import FAMILIES, GenSpec, generate, subdivide
 from .graph_core import (
     Digraph,
     WeightedDigraph,
-    closure_digraph,
     dump_edge_list,
     load_edge_list,
     transitive_closure,
@@ -58,6 +55,18 @@ CSV_COLUMNS = (
 
 def _read_graph(path: str) -> Digraph | WeightedDigraph:
     report = load_edge_list(Path(path).read_text())
+    if report.dropped_self_loops or report.dropped_duplicates:
+        print(
+            f"note: {path}: dropped {report.dropped_self_loops} self-loop(s)"
+            f" and {report.dropped_duplicates} duplicate edge(s)",
+            file=sys.stderr,
+        )
+    if report.id_map is not None:
+        print(
+            f"note: {path}: vertex ids renumbered, n={report.declared_n} ->"
+            f" n={report.graph.n}; new ids follow the sorted order of the original ids",
+            file=sys.stderr,
+        )
     return report.graph
 
 
@@ -216,9 +225,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_decomp(args: argparse.Namespace) -> int:
     g = _as_digraph(_read_graph(args.input))
-    if args.closure:
-        g = closure_digraph(transitive_closure(g))
-    decomp = decompose(g, args.ell)
+    decomp = decompose(transitive_closure(g) if args.closure else g, args.ell)
     for chain in decomp.chains:
         print("chain: " + " ".join(map(str, chain)))
     for anti in decomp.antichains:
@@ -363,29 +370,16 @@ def _run_bench_cell(cell: _BenchCell) -> dict[str, object]:
     return row
 
 
-def _thread_cap() -> int:
-    env = os.environ.get("SHORTCUT_FORGE_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     cells = _parse_bench_config(Path(args.config).read_text())
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)
     writer.writeheader()
-    workers = _thread_cap()
-    if workers > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_bench_cell, cells))
-    else:
-        rows = [_run_bench_cell(cell) for cell in cells]
-    for row in rows:
-        writer.writerow(row)
+    for cell in cells:
+        writer.writerow(_run_bench_cell(cell))
     if args.out:
         Path(args.out).write_text(buf.getvalue())
-        print(f"wrote {args.out} ({len(rows)} rows)")
+        print(f"wrote {args.out} ({len(cells)} rows)")
     else:
         sys.stdout.write(buf.getvalue())
     return 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -134,6 +134,59 @@ class WeightedDigraph:
         return WeightedDigraph(self.n, {(u, v, w) for (u, v), w in best.items()})
 
 
+@dataclass(frozen=True)
+class TaggedEdges:
+    """Provenance-tagged edge rows, (u, v, tag) or weighted (u, v, w, tag).
+
+    Rows are deduplicated by pair, the first row winning, and sorted.
+    Subclasses fix the tag vocabulary in TAGS.
+    """
+
+    n: int
+    tagged: tuple[tuple, ...]
+    params: object
+
+    TAGS: ClassVar[tuple[str, ...]] = ()
+
+    def __init__(self, n: int, tagged: Iterable[tuple], params: object) -> None:
+        # Keyed by u*n + v: int keys hash and sort faster than pairs, and
+        # sort in the same (u, v) order.
+        kept: dict[int, tuple] = {}
+        tags = self.TAGS
+        for row in tagged:
+            u, v, tag = int(row[0]), int(row[1]), row[-1]
+            if tag not in tags:
+                raise ValueError(f"unknown provenance tag {tag!r}")
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"bad {type(self).__name__} edge ({u}, {v}) for n={n}")
+            if len(row) == 4:
+                w = int(row[2])
+                if w < 1:
+                    raise ValueError(f"edge ({u}, {v}) has weight {w} < 1")
+                row = (u, v, w, tag)
+            else:
+                row = (u, v, tag)
+            kept.setdefault(u * n + v, row)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "tagged", tuple(kept[k] for k in sorted(kept)))
+        object.__setattr__(self, "params", params)
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, ...]]:
+        """(u, v) pairs, or (u, v, w) triples for weighted rows."""
+        return frozenset(row[:-1] for row in self.tagged)
+
+    @property
+    def tag_counts(self) -> dict[str, int]:
+        counts = dict.fromkeys(self.TAGS, 0)
+        for row in self.tagged:
+            counts[row[-1]] += 1
+        return counts
+
+    def __len__(self) -> int:
+        return len(self.tagged)
+
+
 @dataclass(frozen=True, eq=False)
 class ReachabilityMatrix:
     """bits[u][v] = u reaches v; reflexive by convention (bits[u][u] true)."""
@@ -195,9 +248,7 @@ def transitive_closure(g: Digraph) -> ReachabilityMatrix:
 
 def closure_digraph(reach: ReachabilityMatrix) -> Digraph:
     """The closure as a plain digraph (off-diagonal reachable pairs)."""
-    mask = reach.bits.copy()
-    np.fill_diagonal(mask, False)
-    return Digraph(reach.n, ((int(u), int(v)) for u, v in np.argwhere(mask)))
+    return Digraph(reach.n, reach.pairs())
 
 
 def bounded_reachability(g: Digraph, hops: int) -> ReachabilityMatrix:
@@ -221,11 +272,21 @@ def bounded_reachability(g: Digraph, hops: int) -> ReachabilityMatrix:
     return ReachabilityMatrix(g.n, acc)
 
 
-def is_acyclic(g: Digraph) -> bool:
-    reach = transitive_closure(g)
+def check_acyclic(reach: ReachabilityMatrix) -> None:
+    """Raise ValueError naming two vertices that reach each other, if any."""
     both = reach.bits & reach.bits.T
     np.fill_diagonal(both, False)
-    return not both.any()
+    if both.any():
+        u, v = map(int, np.argwhere(both)[0])
+        raise ValueError(f"input must be acyclic; {u} and {v} lie on a cycle")
+
+
+def is_acyclic(g: Digraph) -> bool:
+    try:
+        check_acyclic(transitive_closure(g))
+    except ValueError:
+        return False
+    return True
 
 
 def condense(g: Digraph) -> Condensation:
@@ -308,27 +369,6 @@ def scc_star_edges(g: Digraph, c: Condensation) -> frozenset[tuple[int, int]]:
     return frozenset(out)
 
 
-def lift_shortcuts(
-    g: Digraph, c: Condensation, h_plus: Iterable[tuple[int, int]]
-) -> frozenset[tuple[int, int]]:
-    """Map condensation-level shortcuts onto g via representatives plus stars.
-
-    Achieves |H| <= |h_plus| + 2*(n - #SCCs) and
-    diameter(g u H) <= 3*diameter(dag u h_plus) + 4.
-    """
-    dag_reach = transitive_closure(c.dag)
-    out: set[tuple[int, int]] = set()
-    for a, b in h_plus:
-        if a == b or not dag_reach.has(a, b):
-            raise ValueError(
-                f"shortcut ({a}, {b}) is not an off-diagonal closure pair of the condensation"
-            )
-        e = (c.representatives[a][0], c.representatives[b][0])
-        if e not in g.edges:
-            out.add(e)
-    return frozenset(out) | scc_star_edges(g, c)
-
-
 def apsp(g: WeightedDigraph) -> DistanceMatrix:
     """Exact all-pairs shortest-path weights (Dijkstra from every source)."""
     n = g.n
@@ -407,6 +447,7 @@ class LoadReport:
     id_map: dict[int, int] | None  # original id -> dense id; None if kept as-is
     dropped_self_loops: int
     dropped_duplicates: int
+    declared_n: int  # vertex count from the header, before any re-indexing
 
 
 def _tokenize(text: str) -> Iterator[tuple[int, list[str]]]:
@@ -430,7 +471,8 @@ def load_edge_list(text: str) -> LoadReport:
     except ValueError:
         raise ValueError(f"line {lineno}: non-integer header field") from None
     weighted = len(nums) == 3
-    n, m = nums[0], nums[1]
+    declared_n = n = nums[0]
+    m = nums[1]
     w_cap = nums[2] if weighted else None
     _check_vertex_count(n)
     if m < 0 or (weighted and w_cap < 1):
@@ -477,7 +519,7 @@ def load_edge_list(text: str) -> LoadReport:
         graph = WeightedDigraph(n, kept)  # type: ignore[arg-type]
     else:
         graph = Digraph(n, kept)  # type: ignore[arg-type]
-    return LoadReport(graph, id_map, self_loops, dupes)
+    return LoadReport(graph, id_map, self_loops, dupes, declared_n)
 
 
 def dump_edge_list(

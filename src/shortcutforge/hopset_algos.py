@@ -20,16 +20,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ._intmath import ceil_root, floor_root
-from ._seeds import SITE_GROUP_SAMPLE, SITE_VERTEX_SAMPLE, child_seed, site_rng
+from ._seeds import SITE_GROUP_SAMPLE, SITE_VERTEX_SAMPLE, child_seed, sample_mask, site_rng
 from .graph_core import (
     DistanceMatrix,
+    TaggedEdges,
     WeightedDigraph,
     apsp,
     hop_limited_dist,
@@ -58,48 +58,10 @@ class HopsetParams:
     seed: int
 
 
-@dataclass(frozen=True)
-class HopsetEdges:
-    """Tagged weighted edges; deduplicated by pair, first tag wins."""
+class HopsetEdges(TaggedEdges):
+    """Tagged weighted rows (u, v, w, tag); params is a HopsetParams."""
 
-    n: int
-    tagged: tuple[tuple[int, int, int, str], ...]
-    params: HopsetParams
-
-    def __init__(
-        self,
-        n: int,
-        tagged: Iterable[tuple[int, int, int, str]],
-        params: HopsetParams,
-    ) -> None:
-        kept: dict[tuple[int, int], tuple[int, str]] = {}
-        for u, v, w, tag in tagged:
-            u, v, w = int(u), int(v), int(w)
-            if tag not in HOPSET_TAGS:
-                raise ValueError(f"unknown provenance tag {tag!r}")
-            if u == v or not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"bad hopset edge ({u}, {v}) for n={n}")
-            if w < 1:
-                raise ValueError(f"hopset edge ({u}, {v}) has weight {w} < 1")
-            kept.setdefault((u, v), (w, tag))
-        rows = tuple(sorted((u, v, w, t) for (u, v), (w, t) in kept.items()))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "tagged", rows)
-        object.__setattr__(self, "params", params)
-
-    @cached_property
-    def edges(self) -> frozenset[tuple[int, int, int]]:
-        return frozenset((u, v, w) for u, v, w, _ in self.tagged)
-
-    @property
-    def tag_counts(self) -> dict[str, int]:
-        counts = {tag: 0 for tag in HOPSET_TAGS}
-        for _, _, _, tag in self.tagged:
-            counts[tag] += 1
-        return counts
-
-    def __len__(self) -> int:
-        return len(self.tagged)
+    TAGS = HOPSET_TAGS
 
 
 @dataclass(frozen=True)
@@ -317,12 +279,8 @@ def hopset_small_hop(
 
     subpaths = partition_subpaths(q, half).flat()
     p_samp = min(1.0, c * math.log(n) / beta)
-    v_mask = site_rng(seed, SITE_VERTEX_SAMPLE).random(n) < p_samp
-    s_mask = (
-        site_rng(seed, SITE_GROUP_SAMPLE).random(len(subpaths)) < p_samp
-        if subpaths
-        else np.zeros(0, dtype=bool)
-    )
+    v_mask = sample_mask(seed, SITE_VERTEX_SAMPLE, n, p_samp)
+    s_mask = sample_mask(seed, SITE_GROUP_SAMPLE, len(subpaths), p_samp)
     picked = [sp for sp, hit in zip(subpaths, s_mask) if hit]
     for v in map(int, np.flatnonzero(v_mask)):
         for sp in picked:

@@ -13,18 +13,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ._intmath import ceil_root, floor_root
-from ._seeds import SITE_GROUP_SAMPLE, SITE_VERTEX_SAMPLE, child_seed, site_rng
+from ._seeds import SITE_GROUP_SAMPLE, SITE_VERTEX_SAMPLE, child_seed, sample_mask
 from .chain_decomp import decompose
 from .graph_core import (
     Digraph,
     ReachabilityMatrix,
+    TaggedEdges,
     bounded_reachability,
+    check_acyclic,
     closure_digraph,
     condense,
     scc_star_edges,
@@ -42,46 +43,10 @@ class ShortcutParams:
     seed: int
 
 
-@dataclass(frozen=True)
-class ShortcutSet:
-    """Tagged shortcut edges; deduplicated by pair, first tag wins."""
+class ShortcutSet(TaggedEdges):
+    """Tagged shortcut rows (u, v, tag); params is a ShortcutParams."""
 
-    n: int
-    tagged: tuple[tuple[int, int, str], ...]
-    params: ShortcutParams
-
-    def __init__(
-        self,
-        n: int,
-        tagged: Iterable[tuple[int, int, str]],
-        params: ShortcutParams,
-    ) -> None:
-        kept: dict[tuple[int, int], str] = {}
-        for u, v, tag in tagged:
-            u, v = int(u), int(v)
-            if tag not in TAGS:
-                raise ValueError(f"unknown provenance tag {tag!r}")
-            if u == v or not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"bad shortcut edge ({u}, {v}) for n={n}")
-            kept.setdefault((u, v), tag)
-        rows = tuple(sorted((u, v, t) for (u, v), t in kept.items()))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "tagged", rows)
-        object.__setattr__(self, "params", params)
-
-    @cached_property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset((u, v) for u, v, _ in self.tagged)
-
-    @property
-    def tag_counts(self) -> dict[str, int]:
-        counts = {tag: 0 for tag in TAGS}
-        for _, _, tag in self.tagged:
-            counts[tag] += 1
-        return counts
-
-    def __len__(self) -> int:
-        return len(self.tagged)
+    TAGS = TAGS
 
 
 @dataclass(frozen=True)
@@ -93,14 +58,6 @@ class FirstIncomingEdge:
     target: int
 
 
-def _sample_mask(seed: int, site: int, count: int, prob: float) -> np.ndarray:
-    if count == 0:
-        return np.zeros(0, dtype=bool)
-    if prob >= 1.0:
-        return np.ones(count, dtype=bool)
-    return site_rng(seed, site).random(count) < prob
-
-
 def folklore(g: Digraph, d: int, c: float = 3.0, *, seed: int) -> ShortcutSet:
     """Baseline: all closure pairs between vertices sampled at c*ln(n)/d."""
     if d < 1:
@@ -109,7 +66,7 @@ def folklore(g: Digraph, d: int, c: float = 3.0, *, seed: int) -> ShortcutSet:
     if g.n <= 1:
         return ShortcutSet(g.n, (), params)
     p = min(1.0, c * math.log(g.n) / d)
-    mask = _sample_mask(seed, SITE_VERTEX_SAMPLE, g.n, p)
+    mask = sample_mask(seed, SITE_VERTEX_SAMPLE, g.n, p)
     bits = transitive_closure(g).bits & np.outer(mask, mask)
     np.fill_diagonal(bits, False)
     rows = ((int(u), int(v), "baseline") for u, v in np.argwhere(bits))
@@ -142,16 +99,6 @@ def first_incoming_edge(
     return FirstIncomingEdge(source=v, chain=chain_id, target=int(chain[lo]))
 
 
-def _check_acyclic_closure(g: Digraph) -> ReachabilityMatrix:
-    closure = transitive_closure(g)
-    both = closure.bits & closure.bits.T
-    np.fill_diagonal(both, False)
-    if both.any():
-        u, v = map(int, np.argwhere(both)[0])
-        raise ValueError(f"input must be acyclic; {u} and {v} lie on a cycle")
-    return closure
-
-
 def small_diam_limit(n: int) -> int:
     """Largest diameter target the small-diameter construction accepts."""
     return max(3, ceil_root(n, 3))
@@ -172,10 +119,9 @@ def shortcut_small_diam(
         return ShortcutSet(0, (), params)
     if not 3 <= d <= small_diam_limit(n):
         raise ValueError(f"diameter target {d} outside [3, {small_diam_limit(n)}]")
-    closure = _check_acyclic_closure(g)
-
+    closure = transitive_closure(g)
     ell = min(n, -(-16 * n // d))
-    decomp = decompose(closure_digraph(closure), ell)
+    decomp = decompose(closure, ell)
 
     rows: list[tuple[int, int, str]] = []
     for chain in decomp.chains:
@@ -185,8 +131,8 @@ def shortcut_small_diam(
             rows.append((a, b, "path_shortcut"))
 
     p = min(1.0, c * math.log(n) / d) if n > 1 else 1.0
-    v_mask = _sample_mask(seed, SITE_VERTEX_SAMPLE, n, p)
-    c_mask = _sample_mask(seed, SITE_GROUP_SAMPLE, len(decomp.chains), p)
+    v_mask = sample_mask(seed, SITE_VERTEX_SAMPLE, n, p)
+    c_mask = sample_mask(seed, SITE_GROUP_SAMPLE, len(decomp.chains), p)
     for v in map(int, np.flatnonzero(v_mask)):
         for i in map(int, np.flatnonzero(c_mask)):
             hit = first_incoming_edge(closure, v, decomp.chains[i], i)
@@ -215,7 +161,7 @@ def shortcut_large_d(
         raise ValueError("input must be acyclic")
 
     p = min(1.0, c * math.sqrt(n) * math.log(n) / d**1.5)
-    sampled = np.flatnonzero(_sample_mask(seed, SITE_VERTEX_SAMPLE, n, p))
+    sampled = np.flatnonzero(sample_mask(seed, SITE_VERTEX_SAMPLE, n, p))
     n_sub = len(sampled)
     if n_sub <= 1:
         return ShortcutSet(n, (), params)
@@ -223,9 +169,8 @@ def shortcut_large_d(
     r = max(1, floor_root(d**3 // n, 2))
     while r * r * n < d**3:
         r += 1
-    within = bounded_reachability(g, r).bits[np.ix_(sampled, sampled)].copy()
-    np.fill_diagonal(within, False)
-    sub = Digraph(n_sub, ((int(a), int(b)) for a, b in np.argwhere(within)))
+    within = bounded_reachability(g, r).bits[np.ix_(sampled, sampled)]
+    sub = closure_digraph(ReachabilityMatrix(n_sub, within))
 
     d_sub = max(3, int(n_sub ** (1.0 / 3.0) / math.log(n)))
     inner = shortcut_small_diam(sub, d_sub, c, seed=child_seed(seed))
@@ -271,7 +216,8 @@ def transitive_reduction(dag: Digraph) -> Digraph:
     An edge survives iff the closure offers no 2-hop detour between its
     endpoints.
     """
-    closure = _check_acyclic_closure(dag)
+    closure = transitive_closure(dag)
+    check_acyclic(closure)
     direct = closure.bits.copy()
     np.fill_diagonal(direct, False)
     detour = (direct.astype(np.float32) @ direct.astype(np.float32)) > 0

@@ -93,6 +93,21 @@ def test_cyclic_input_rejected():
         decompose(Digraph(3, [(0, 1), (1, 2), (2, 0)]), 2)
 
 
+def test_closure_matrix_matches_closure_graph():
+    rng = np.random.default_rng(405)
+    for _ in range(20):
+        g = random_dag(48, float(rng.uniform(0.03, 0.2)), rng)
+        reach = transitive_closure(g)
+        for ell in (1, 5, 12, 48):
+            assert decompose(reach, ell) == decompose(closure_digraph(reach), ell)
+
+
+def test_cyclic_closure_matrix_rejected():
+    reach = transitive_closure(Digraph(3, [(0, 1), (1, 2), (2, 0)]))
+    with pytest.raises(ValueError, match="cycle"):
+        decompose(reach, 2)
+
+
 @pytest.mark.parametrize("ell", [0, -1, 11])
 def test_ell_out_of_range(ell):
     with pytest.raises(ValueError):

@@ -122,6 +122,31 @@ def test_decomp_prints_chains(tmp_path, capsys):
     assert out == ["chain: " + " ".join(map(str, range(16)))]
 
 
+@pytest.mark.parametrize(
+    "text, note",
+    [
+        ("4 3\n0 1\n1 2\n2 3\n", None),
+        ("4 5\n0 1\n1 1\n0 1\n1 2\n2 3\n",
+         "dropped 1 self-loop(s) and 1 duplicate edge(s)"),
+        ("5 3\n10 11\n11 12\n12 13\n",
+         "vertex ids renumbered, n=5 -> n=4; new ids follow the sorted order"
+         " of the original ids"),
+    ],
+    ids=["valid", "dropped", "renumbered"],
+)
+def test_input_changes_reported_on_stderr(tmp_path, capsys, text, note):
+    g = tmp_path / "g.txt"
+    g.write_text(text)
+    assert run("decomp", "--input", str(g), "--ell", "2") == 0
+    cap = capsys.readouterr()
+    assert cap.out == "chain: 0 1 2 3\n"
+    if note is None:
+        assert cap.err == ""
+    else:
+        assert note in cap.err
+        assert len(cap.err.splitlines()) == 1
+
+
 def test_tcspanner_mode_tags_backbone(tmp_path):
     g = tmp_path / "g.txt"
     h = tmp_path / "h.txt"
@@ -142,8 +167,7 @@ class TestBench:
         with open(path, newline="") as fh:
             return list(csv.DictReader(fh))
 
-    def test_single_cell(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SHORTCUT_FORGE_THREADS", "1")
+    def test_single_cell(self, tmp_path):
         cfg = tmp_path / "bench.cfg"
         out = tmp_path / "rows.csv"
         cfg.write_text(

@@ -1,0 +1,65 @@
+"""CLI output bytes for fixed seeds, pinned by SHA-256.
+
+Refactors must keep these outputs byte-identical.  A digest may change only
+with a change that says which output moved and why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+from shortcutforge.cli import main
+
+# (output name, argv without --out); a ".out" name hashes stdout instead.
+STEPS = (
+    ("dag.txt", ("gen", "--family", "random_dag", "--n", "64", "--p", "0.1", "--seed", "5")),
+    ("cyc.txt", ("gen", "--family", "random_digraph", "--n", "60", "--p", "0.025",
+                 "--seed", "3")),
+    ("deep.txt", ("gen", "--family", "random_dag", "--n", "40", "--p", "0.1", "--k", "3",
+                  "--seed", "4")),
+    ("w.txt", ("gen", "--family", "weighted_random", "--n", "60", "--p", "0.03",
+               "--W", "20", "--seed", "6")),
+    ("auto.txt", ("shortcut", "--input", "cyc.txt", "--diameter", "4", "--seed", "1")),
+    ("small.txt", ("shortcut", "--input", "dag.txt", "--diameter", "4", "--seed", "1",
+                   "--mode", "small")),
+    ("large.txt", ("shortcut", "--input", "deep.txt", "--diameter", "24", "--seed", "1",
+                   "--mode", "large")),
+    ("folklore.txt", ("shortcut", "--input", "dag.txt", "--diameter", "6", "--seed", "1",
+                      "--mode", "folklore")),
+    ("tcspanner.txt", ("shortcut", "--input", "cyc.txt", "--diameter", "4", "--seed", "1",
+                       "--mode", "tcspanner")),
+    ("hopset.txt", ("hopset", "--input", "w.txt", "--beta", "12", "--eps", "1/4",
+                    "--seed", "1")),
+    ("decomp.out", ("decomp", "--input", "dag.txt", "--ell", "8")),
+    ("closure.out", ("decomp", "--input", "dag.txt", "--ell", "8", "--closure")),
+)
+
+EXPECTED = {
+    "dag.txt": "21200ce5bb38581efa46b81264a974879caf4f87ac7a24df2d0a8545d1d4d61a",
+    "cyc.txt": "1ed6681566cc2e4ffd2bb5a96fcf9ae0c2c0c54fcdfb78e56d794cf54375731e",
+    "deep.txt": "a811be738f375dab75e3de30ef7dc9630f1657a1c927418cb4c4cf83f5186ea3",
+    "w.txt": "763327e01350b6c05c245c9e79d6c50cdc0db421904e763c08a3726dead39b46",
+    "auto.txt": "61a6a51bbe09e78b8765d5e2518c0d5856c0f8634498302de372c7c855da8524",
+    "small.txt": "b137305c7ecdc4638267d9a8ed85d04cee34923803e8d4d7e6a73b0f44acdcc3",
+    "large.txt": "9cb27334d3e85f771b240c3463a2676e93bcec19902e3c12dd80fe9ab35b91b3",
+    "folklore.txt": "c1462efe3ca10e9deadb568cc4ae8c0782a096305b572d2347abe784d131ea9d",
+    "tcspanner.txt": "257b3a685e56b92231aa168dab8ef938c3441b9eab0345e8c6c4d1b02290ac27",
+    "hopset.txt": "10b70f11c220a52133dfd2b82bca0866dc8d5c9769912a8582d63b1d6323f432",
+    "decomp.out": "ddd886ad9226ed0f37ffffd5d2c325c4ea6ed3f39396d69ccc920d07e8747e3c",
+    "closure.out": "ddd886ad9226ed0f37ffffd5d2c325c4ea6ed3f39396d69ccc920d07e8747e3c",
+}
+
+
+def test_cli_outputs_match_pinned_digests(tmp_path, capsys):
+    got = {}
+    for name, argv in STEPS:
+        argv = [str(tmp_path / a) if a.endswith(".txt") else a for a in argv]
+        capsys.readouterr()
+        if name.endswith(".out"):
+            assert main(argv) == 0
+            data = capsys.readouterr().out.encode()
+        else:
+            assert main([*argv, "--out", str(tmp_path / name)]) == 0
+            data = (tmp_path / name).read_bytes()
+        got[name] = hashlib.sha256(data).hexdigest()
+    assert got == EXPECTED

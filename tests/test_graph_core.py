@@ -15,7 +15,6 @@ from shortcutforge.graph_core import (
     dump_edge_list,
     hop_limited_dist,
     is_acyclic,
-    lift_shortcuts,
     load_edge_list,
     scc_star_edges,
     transitive_closure,
@@ -162,27 +161,6 @@ class TestCondense:
         stars = scc_star_edges(g, cond)
         assert len(stars) <= 2 * (g.n - cond.dag.n)
         assert is_acyclic(cond.dag)
-
-
-class TestLift:
-    def test_lifted_set_bounds_and_diameter(self):
-        g = Digraph(
-            7,
-            [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 4)],
-        )
-        cond = condense(g)
-        h_plus = frozenset({(0, 1)}) if (0, 1) in set(cond.dag.edges) else frozenset()
-        lifted = lift_shortcuts(g, cond, h_plus)
-        assert len(lifted) <= len(h_plus) + 2 * (g.n - cond.dag.n)
-        union = Digraph(g.n, set(g.edges) | set(lifted))
-        base = transitive_closure(g).bits
-        assert np.array_equal(transitive_closure(union).bits, base)
-
-    def test_rejects_non_closure_pairs(self):
-        g = Digraph(4, [(0, 1), (2, 3)])
-        cond = condense(g)
-        with pytest.raises(ValueError):
-            lift_shortcuts(g, cond, frozenset({(1, 0)}))
 
 
 class TestDistances:

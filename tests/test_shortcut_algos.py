@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from shortcutforge.chain_decomp import decompose
+from shortcutforge.generators import GenSpec, generate
 from shortcutforge.graph_core import (
     Digraph,
     closure_digraph,
+    condense,
     hop_limited_dist,
     transitive_closure,
     unit_weights,
@@ -237,6 +239,26 @@ class TestBuildShortcuts:
         assert np.array_equal(transitive_closure(union).bits, base)
         # every new pair must already be reachable
         assert hs.edges <= closure_pairs(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            # 0-1-2 cycle -> 3 -> 4-5-6 cycle
+            Digraph(7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 4)]),
+            generate(GenSpec("random_digraph", 60, p=0.025, seed=3)),
+        ],
+        ids=["two_cycles", "random_digraph"],
+    )
+    def test_lifted_set_bounds_and_diameter(self, g):
+        # |H| <= |h+| + 2(n - #SCC), closure kept, and
+        # diameter(g u H) <= 3 * diameter(dag u h+) + 4.
+        cond = condense(g)
+        h_plus = shortcut_small_diam(cond.dag, 3, seed=5)
+        hs = build_shortcuts(g, 3, seed=5, mode="small")
+        assert len(hs) <= len(h_plus) + 2 * (g.n - cond.dag.n)
+        union = Digraph(g.n, set(g.edges) | set(hs.edges))
+        assert np.array_equal(transitive_closure(union).bits, transitive_closure(g).bits)
+        assert hop_diameter(g, hs.edges) <= 3 * hop_diameter(cond.dag, h_plus.edges) + 4
 
     def test_rejects_tiny_diameter_and_bad_mode(self):
         with pytest.raises(ValueError):
