@@ -13,9 +13,12 @@ import csv
 import io
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .chain_decomp import decompose
@@ -23,6 +26,8 @@ from .generators import FAMILIES, GenSpec, generate, subdivide
 from .graph_core import (
     Digraph,
     WeightedDigraph,
+    _format_rows,
+    _tokenize,
     dump_edge_list,
     load_edge_list,
     transitive_closure,
@@ -71,44 +76,47 @@ def _read_graph(path: str) -> Digraph | WeightedDigraph:
 
 
 def _write_tagged(
-    path: str, n: int, rows: list[tuple], comments: list[str]
+    path: str, n: int, edges: np.ndarray, tags: np.ndarray, comments: list[str]
 ) -> None:
     out = [f"# {c}" for c in comments]
-    out.append(f"{n} {len(rows)}")
-    out.extend(" ".join(str(f) for f in row) for row in rows)
+    out.append(f"{n} {len(edges)}")
+    out.extend(_format_rows(*edges.T.tolist(), tags.tolist()))
     Path(path).write_text("\n".join(out) + "\n")
 
 
-def _read_tagged(path: str) -> tuple[int, list[tuple]]:
+def _read_tagged(path: str) -> tuple[int, np.ndarray]:
     """Read files written by the shortcut/hopset subcommands.
 
     Rows are "u v tag" or "u v w tag"; the tag column is optional so plain
-    edge lists verify too.
+    edge lists verify too.  Returns n and the (m, 2) or (m, 3) integer rows;
+    every row must have as many integer fields as the first.
     """
-    rows: list[tuple] = []
-    n = None
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
-        toks = body.split()
-        if n is None:
-            if len(toks) < 2:
-                raise ValueError(f"line {lineno}: header must start with 'n m'")
-            n = int(toks[0])
-            continue
+    lines = _tokenize(Path(path).read_text())
+    try:
+        lineno, header = next(lines)
+    except StopIteration:
+        raise ValueError("empty edge file") from None
+    if len(header) < 2:
+        raise ValueError(f"line {lineno}: header must start with 'n m'")
+    n = int(header[0])
+    flat: list[int] = []
+    width = 0
+    for lineno, toks in lines:
         ints = []
         for t in toks:
+            if t.isidentifier():  # a tag; cheaper to spot than a failed int()
+                break
             try:
                 ints.append(int(t))
             except ValueError:
                 break
         if len(ints) not in (2, 3):
             raise ValueError(f"line {lineno}: expected 'u v [w] [tag]'")
-        rows.append(tuple(ints))
-    if n is None:
-        raise ValueError("empty edge file")
-    return n, rows
+        if width and len(ints) != width:
+            raise ValueError(f"line {lineno}: expected {width} integers, as on the first row")
+        width = len(ints)
+        flat.extend(ints)
+    return n, np.array(flat, dtype=np.int64).reshape(-1, width or 2)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -140,7 +148,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _as_digraph(g: Digraph | WeightedDigraph) -> Digraph:
     if isinstance(g, WeightedDigraph):
-        return Digraph(g.n, ((u, v) for u, v, _ in g.edges))
+        return Digraph(g.n, g.array[:, :2])
     return g
 
 
@@ -150,22 +158,21 @@ def _cmd_shortcut(args: argparse.Namespace) -> int:
         f"shortcutforge shortcut --diameter {args.diameter} --const {args.const}"
         f" --seed {args.seed} --mode {args.mode}"
     )
-    if args.mode == "folklore":
-        hs = folklore(g, args.diameter, args.const, seed=args.seed)
-        rows = list(hs.tagged)
-    elif args.mode == "tcspanner":
+    if args.mode == "tcspanner":
         base, hs = _tc_spanner_parts(g, args.diameter, args.const, args.seed)
-        rows = [(u, v, "baseline") for u, v in sorted(base.edges)]
-        rows.extend(t for t in hs.tagged if (t[0], t[1]) not in base.edges)
+        extra = ~base.has_pairs(hs.array)
+        edges = np.concatenate([base.array, hs.array[extra]])
+        tags = np.concatenate([np.full(base.m, "baseline", dtype=object), hs.tags[extra]])
     else:
-        hs = build_shortcuts(g, args.diameter, args.const, seed=args.seed, mode=args.mode)
-        rows = list(hs.tagged)
-    counts: dict[str, int] = {}
-    for row in rows:
-        counts[row[-1]] = counts.get(row[-1], 0) + 1
-    summary = " ".join(f"{t}={counts.get(t, 0)}" for t in TAGS)
-    _write_tagged(args.out, g.n, rows, [head, f"edge counts: {summary}"])
-    print(f"wrote {args.out} ({len(rows)} edges)")
+        if args.mode == "folklore":
+            hs = folklore(g, args.diameter, args.const, seed=args.seed)
+        else:
+            hs = build_shortcuts(g, args.diameter, args.const, seed=args.seed, mode=args.mode)
+        edges, tags = hs.array, hs.tags
+    counts = Counter(tags.tolist())
+    summary = " ".join(f"{t}={counts[t]}" for t in TAGS)
+    _write_tagged(args.out, g.n, edges, tags, [head, f"edge counts: {summary}"])
+    print(f"wrote {args.out} ({len(edges)} edges)")
     return 0
 
 
@@ -180,7 +187,7 @@ def _cmd_hopset(args: argparse.Namespace) -> int:
         f" --const {args.const} --seed {args.seed}"
     )
     summary = " ".join(f"{t}={hs.tag_counts[t]}" for t in HOPSET_TAGS)
-    _write_tagged(args.out, g.n, list(hs.tagged), [head, f"edge counts: {summary}"])
+    _write_tagged(args.out, g.n, hs.array, hs.tags, [head, f"edge counts: {summary}"])
     print(f"wrote {args.out} ({len(hs)} edges)")
     return 0
 
@@ -193,17 +200,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.mode == "shortcut":
         if args.diameter is None:
             raise ValueError("verify --mode shortcut needs --diameter")
-        pairs = frozenset((r[0], r[1]) for r in rows)
-        report = verify_shortcut(_as_digraph(g), pairs, args.diameter, instance=args.edges)
+        report = verify_shortcut(_as_digraph(g), rows[:, :2], args.diameter, instance=args.edges)
     else:
         if args.beta is None or args.eps is None:
             raise ValueError("verify --mode hopset needs --beta and --eps")
         if not isinstance(g, WeightedDigraph):
             raise ValueError("hopset verification needs a weighted graph file")
-        bad = [r for r in rows if len(r) != 3]
-        if bad:
-            raise ValueError(f"hopset edge rows need weights; got {bad[0]}")
-        report = verify_hopset(g, frozenset(rows), args.beta, as_eps(args.eps), instance=args.edges)
+        if len(rows) and rows.shape[1] != 3:
+            raise ValueError(f"hopset edge rows need weights; got {tuple(rows[0].tolist())}")
+        report = verify_hopset(g, rows, args.beta, as_eps(args.eps), instance=args.edges)
     for check in report.checks:
         line = f"{check.name}: {check.status}"
         if check.detail:

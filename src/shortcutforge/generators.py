@@ -75,27 +75,17 @@ def generate(spec: GenSpec) -> Digraph | WeightedDigraph:
         rows = int(np.sqrt(n))
         while rows > 1 and n % rows:
             rows -= 1
-        cols = n // rows
-        edges = []
-        for i in range(rows):
-            for j in range(cols):
-                v = i * cols + j
-                if j + 1 < cols:
-                    edges.append((v, v + 1))
-                if i + 1 < rows:
-                    edges.append((v, v + cols))
-        return Digraph(n, edges)
+        ids = np.arange(n).reshape(rows, n // rows)
+        right = np.column_stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()])
+        down = np.column_stack([ids[:-1].ravel(), ids[1:].ravel()])
+        return Digraph(n, np.concatenate([right, down]))
 
     if spec.family == "random_dag":
         p = _edge_prob(spec, (n - 1) / 2)
         perm = rng.permutation(n)
         idx = np.triu_indices(n, k=1)
         mask = rng.random(len(idx[0])) < p
-        edges = (
-            (int(perm[a]), int(perm[b]))
-            for a, b in zip(idx[0][mask], idx[1][mask])
-        )
-        return Digraph(n, edges)
+        return Digraph(n, np.column_stack([perm[idx[0][mask]], perm[idx[1][mask]]]))
 
     if spec.family == "layered":
         p = _edge_prob(spec, max(1.0, n / max(1, int(np.ceil(np.sqrt(n))))))
@@ -114,11 +104,11 @@ def generate(spec: GenSpec) -> Digraph | WeightedDigraph:
     p = _edge_prob(spec, float(n - 1))
     src, tgt = np.where(~np.eye(n, dtype=bool))
     mask = rng.random(len(src)) < p
-    pairs = list(zip(map(int, src[mask]), map(int, tgt[mask])))
+    pairs = np.column_stack([src[mask], tgt[mask]])
     if spec.family == "random_digraph":
         return Digraph(n, pairs)
     weights = rng.integers(1, spec.W + 1, size=len(pairs))
-    return WeightedDigraph(n, ((u, v, int(w)) for (u, v), w in zip(pairs, weights)))
+    return WeightedDigraph(n, np.column_stack([pairs, weights]))
 
 
 def subdivide(g: Digraph, k: int) -> tuple[Digraph, dict[int, tuple[int, int]]]:
@@ -131,11 +121,8 @@ def subdivide(g: Digraph, k: int) -> tuple[Digraph, dict[int, tuple[int, int]]]:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     stride = k + 1
-    edges = []
-    placement: dict[int, tuple[int, int]] = {}
-    for v in range(g.n):
-        head = v * stride
-        placement[v] = (head, head + k)
-        edges.extend((head + j, head + j + 1) for j in range(k))
-    edges.extend((placement[u][1], placement[v][0]) for u, v in g.edges)
+    placement = {v: (v * stride, v * stride + k) for v in range(g.n)}
+    inner = (np.arange(g.n)[:, None] * stride + np.arange(k)).ravel()
+    cross = g.array * stride + [k, 0]
+    edges = np.concatenate([np.column_stack([inner, inner + 1]), cross])
     return Digraph(g.n * stride, edges), placement

@@ -5,6 +5,12 @@ and every operation is a pure function, so concurrent callers are safe.  The
 dense numpy kernels cap instances at MAX_VERTICES; unreachable distances are
 IEEE +inf, which is strictly greater than any n*W path weight and saturates
 under addition.
+
+Edge storage is decided here alone: Digraph, WeightedDigraph and TaggedEdges
+each hold one read-only int64 ``array`` sorted by (u, v), of shape (m, 2) or
+(m, 3) with the weight last; TaggedEdges adds ``codes``, indices into TAGS.
+``edges`` (a frozenset of tuples) and ``tagged`` (row tuples ending in the tag
+name) are views built on first access; kernels read the arrays.
 """
 
 from __future__ import annotations
@@ -32,159 +38,193 @@ def _check_vertex_count(n: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Digraph:
-    """Unweighted digraph; no self-loops, no duplicate edges."""
+def _int_rows(edges: Iterable[Sequence[int]] | np.ndarray, width: int) -> np.ndarray:
+    """Rows of ``edges`` as an (m, width) int64 array."""
+    arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), np.int64)
+    if arr.size == 0:
+        return arr.reshape(0, width)
+    if arr.ndim != 2 or arr.shape[1] != width:
+        raise ValueError(f"edge rows must have {width} fields")
+    return arr
+
+
+def _kept_rows(n: int, rows: np.ndarray, first_wins: bool = False) -> np.ndarray:
+    """Indices of the rows to keep, one per (u, v) pair, in (u, v) order.
+
+    Rows are (u, v) or (u, v, w).  Rejects self-loops, ids outside [0, n)
+    and weights below 1.  Identical rows collapse.  Two weights for one pair
+    are an error unless ``first_wins``, in which case the earliest row wins.
+    """
+    u, v = rows[:, 0], rows[:, 1]
+    bad = (u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    if bad.any():
+        a, b = rows[np.argmax(bad), :2].tolist()
+        if a == b:
+            raise ValueError(f"self-loop ({a}, {b}) not allowed")
+        raise ValueError(f"edge ({a}, {b}) out of range for n={n}")
+    if rows.shape[1] == 3:
+        light = rows[:, 2] < 1
+        if light.any():
+            a, b, w = rows[np.argmax(light)].tolist()
+            raise ValueError(f"edge ({a}, {b}) has weight {w} < 1")
+    key = u * n + v
+    _, first, which = np.unique(key, return_index=True, return_inverse=True)
+    if rows.shape[1] == 3 and not first_wins:
+        clash = np.flatnonzero(rows[:, 2] != rows[first[which], 2])
+        if clash.size:
+            a, b = rows[clash[np.argmin(key[clash])], :2].tolist()
+            raise ValueError(f"duplicate weights for edge pair ({a}, {b})")
+    return first
+
+
+class _EdgeArray:
+    """Immutable edge rows: one read-only int64 array sorted by (u, v).
+
+    ``array`` has shape (m, WIDTH): (u, v), or (u, v, w) with weights.
+    Equality and hashing are by value.
+    """
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    array: np.ndarray
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
+    WIDTH: ClassVar[int] = 2
+
+    def __init__(self, n: int, edges: Iterable[Sequence[int]] | np.ndarray = ()) -> None:
         _check_vertex_count(n)
-        es = frozenset((int(u), int(v)) for u, v in edges)
-        for u, v in es:
-            if u == v:
-                raise ValueError(f"self-loop ({u}, {v}) not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", es)
+        rows = _int_rows(edges, self.WIDTH)
+        self._store(n, rows[_kept_rows(n, rows)])
+
+    def _store(self, n: int, rows: np.ndarray, **extra: object) -> None:
+        rows.setflags(write=False)
+        for name, value in {"n": n, "array": rows, **extra}.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.array)
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, ...]]:
+        """View: (u, v) pairs, or (u, v, w) triples for weighted rows."""
+        return frozenset(map(tuple, self.array.tolist()))
+
+    def has_pairs(self, pairs: np.ndarray) -> np.ndarray:
+        """Mask of the (u, v) rows of ``pairs`` that are edges; ids in [0, n)."""
+        n = self.n
+        return np.isin(pairs[:, 0] * n + pairs[:, 1], self.array[:, 0] * n + self.array[:, 1])
+
+    def _key(self) -> tuple:
+        return (self.n, self.array.tobytes())
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self.n}, m={self.m})"
+
+
+class Digraph(_EdgeArray):
+    """Unweighted digraph; no self-loops, no duplicate edges."""
 
     @cached_property
     def adjacency(self) -> np.ndarray:
         """Read-only boolean n x n adjacency matrix."""
         a = np.zeros((self.n, self.n), dtype=bool)
-        if self.edges:
-            arr = np.array(sorted(self.edges), dtype=np.intp)
-            a[arr[:, 0], arr[:, 1]] = True
+        a[self.array[:, 0], self.array[:, 1]] = True
         a.setflags(write=False)
         return a
 
-    def union(self, extra: Iterable[tuple[int, int]]) -> "Digraph":
-        return Digraph(self.n, set(self.edges) | {(int(u), int(v)) for u, v in extra})
 
-
-@dataclass(frozen=True)
-class WeightedDigraph:
+class WeightedDigraph(_EdgeArray):
     """Digraph with integer weights >= 1; at most one weight per (u, v)."""
 
-    n: int
-    edges: frozenset[tuple[int, int, int]]
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int, int]] = ()) -> None:
-        _check_vertex_count(n)
-        es = frozenset((int(u), int(v), int(w)) for u, v, w in edges)
-        seen: set[tuple[int, int]] = set()
-        for u, v, w in sorted(es):
-            if u == v:
-                raise ValueError(f"self-loop ({u}, {v}) not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if w < 1:
-                raise ValueError(f"edge ({u}, {v}) has weight {w} < 1")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate weights for edge pair ({u}, {v})")
-            seen.add((u, v))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", es)
-
-    @property
-    def m(self) -> int:
-        return len(self.edges)
+    WIDTH = 3
 
     @property
     def max_weight(self) -> int:
-        return max((w for _, _, w in self.edges), default=1)
-
-    @cached_property
-    def weight_matrix(self) -> np.ndarray:
-        """Read-only float64 matrix: w(u, v), +inf where no edge."""
-        a = np.full((self.n, self.n), np.inf)
-        for u, v, w in self.edges:
-            a[u, v] = w
-        a.setflags(write=False)
-        return a
+        return int(self.array[:, 2].max()) if self.m else 1
 
     @cached_property
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(src, tgt, weight) arrays sorted by (tgt, src) for relaxation kernels."""
-        if not self.edges:
-            z = np.zeros(0, dtype=np.intp)
-            return z, z, np.zeros(0)
-        rows = sorted((v, u, w) for u, v, w in self.edges)
-        arr = np.array(rows, dtype=np.int64)
-        return (
-            arr[:, 1].astype(np.intp),
-            arr[:, 0].astype(np.intp),
-            arr[:, 2].astype(np.float64),
-        )
+        u, v, w = self.array.T
+        order = np.lexsort((u, v))
+        return u[order], v[order], w[order].astype(np.float64)
 
-    def union_min(self, extra: Iterable[tuple[int, int, int]]) -> "WeightedDigraph":
+    def union_min(
+        self, extra: Iterable[tuple[int, int, int]] | np.ndarray
+    ) -> "WeightedDigraph":
         """Union keeping the smaller weight when a pair appears on both sides."""
-        best: dict[tuple[int, int], int] = {(u, v): w for u, v, w in self.edges}
-        for u, v, w in extra:
-            key = (int(u), int(v))
-            w = int(w)
-            if key not in best or w < best[key]:
-                best[key] = w
-        return WeightedDigraph(self.n, {(u, v, w) for (u, v), w in best.items()})
+        rows = np.concatenate([self.array, _int_rows(extra, 3)])
+        rows = rows[np.argsort(rows[:, 2], kind="stable")]
+        return WeightedDigraph(self.n, rows[_kept_rows(self.n, rows, first_wins=True)])
 
 
-@dataclass(frozen=True)
-class TaggedEdges:
+def tagged_rows(edges: np.ndarray, tags: object) -> np.ndarray:
+    """TaggedEdges input without a tuple per row: int rows plus one tag or a tag per row."""
+    rows = np.empty((len(edges), edges.shape[1] + 1), dtype=object)
+    rows[:, :-1] = edges
+    rows[:, -1] = tags
+    return rows
+
+
+class TaggedEdges(_EdgeArray):
     """Provenance-tagged edge rows, (u, v, tag) or weighted (u, v, w, tag).
 
-    Rows are deduplicated by pair, the first row winning, and sorted.
-    Subclasses fix the tag vocabulary in TAGS.
+    Rows are deduplicated by pair, the first row winning, and sorted.  They
+    are stored as ``array`` plus ``codes``, each row's index into TAGS;
+    ``tagged`` is a view.  Subclasses fix the tag vocabulary in TAGS.
     """
 
-    n: int
-    tagged: tuple[tuple, ...]
     params: object
+    codes: np.ndarray
 
     TAGS: ClassVar[tuple[str, ...]] = ()
 
-    def __init__(self, n: int, tagged: Iterable[tuple], params: object) -> None:
-        # Keyed by u*n + v: int keys hash and sort faster than pairs, and
-        # sort in the same (u, v) order.
-        kept: dict[int, tuple] = {}
-        tags = self.TAGS
-        for row in tagged:
-            u, v, tag = int(row[0]), int(row[1]), row[-1]
-            if tag not in tags:
-                raise ValueError(f"unknown provenance tag {tag!r}")
-            if u == v or not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"bad {type(self).__name__} edge ({u}, {v}) for n={n}")
-            if len(row) == 4:
-                w = int(row[2])
-                if w < 1:
-                    raise ValueError(f"edge ({u}, {v}) has weight {w} < 1")
-                row = (u, v, w, tag)
-            else:
-                row = (u, v, tag)
-            kept.setdefault(u * n + v, row)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "tagged", tuple(kept[k] for k in sorted(kept)))
-        object.__setattr__(self, "params", params)
+    def __init__(self, n: int, tagged: Iterable[tuple] | np.ndarray, params: object) -> None:
+        table = np.asarray(tagged if isinstance(tagged, np.ndarray) else list(tagged), object)
+        if table.ndim == 1 and not table.size:
+            table = table.reshape(0, 3)
+        if table.ndim != 2 or table.shape[1] not in (3, 4):
+            raise ValueError("tagged rows must be (u, v, tag) or (u, v, w, tag)")
+        names = table[:, -1]
+        codes = np.full(len(table), -1, dtype=np.int8)
+        for code, tag in enumerate(self.TAGS):
+            codes[names == tag] = code
+        if (codes < 0).any():
+            raise ValueError(f"unknown provenance tag {names[np.argmax(codes < 0)]!r}")
+        rows = table[:, :-1].astype(np.int64)
+        keep = _kept_rows(n, rows, first_wins=True)
+        codes = codes[keep]
+        codes.setflags(write=False)
+        self._store(n, rows[keep], codes=codes, params=params)
+
+    @property
+    def tags(self) -> np.ndarray:
+        """Each row's tag name, as an object array of str."""
+        return np.array(self.TAGS, dtype=object)[self.codes]
 
     @cached_property
-    def edges(self) -> frozenset[tuple[int, ...]]:
-        """(u, v) pairs, or (u, v, w) triples for weighted rows."""
-        return frozenset(row[:-1] for row in self.tagged)
+    def tagged(self) -> tuple[tuple, ...]:
+        """View: the rows as tuples of ints ending in the tag name."""
+        return tuple(zip(*self.array.T.tolist(), self.tags.tolist()))
 
     @property
     def tag_counts(self) -> dict[str, int]:
-        counts = dict.fromkeys(self.TAGS, 0)
-        for row in self.tagged:
-            counts[row[-1]] += 1
-        return counts
+        counts = np.bincount(self.codes, minlength=len(self.TAGS))
+        return dict(zip(self.TAGS, counts.tolist()))
+
+    def _key(self) -> tuple:
+        return (*super()._key(), self.codes.tobytes(), self.params)
 
     def __len__(self) -> int:
-        return len(self.tagged)
+        return self.m
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,13 +236,6 @@ class ReachabilityMatrix:
 
     def has(self, u: int, v: int) -> bool:
         return bool(self.bits[u, v])
-
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        """Off-diagonal reachable pairs in lexicographic order."""
-        mask = self.bits.copy()
-        np.fill_diagonal(mask, False)
-        for u, v in np.argwhere(mask):
-            yield int(u), int(v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,7 +281,9 @@ def transitive_closure(g: Digraph) -> ReachabilityMatrix:
 
 def closure_digraph(reach: ReachabilityMatrix) -> Digraph:
     """The closure as a plain digraph (off-diagonal reachable pairs)."""
-    return Digraph(reach.n, reach.pairs())
+    mask = reach.bits.copy()
+    np.fill_diagonal(mask, False)
+    return Digraph(reach.n, np.argwhere(mask))
 
 
 def bounded_reachability(g: Digraph, hops: int) -> ReachabilityMatrix:
@@ -292,9 +327,9 @@ def is_acyclic(g: Digraph) -> bool:
 def condense(g: Digraph) -> Condensation:
     """Tarjan SCCs, relabelled so component ids are topologically sorted."""
     n = g.n
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in sorted(g.edges):
-        adj[u].append(v)
+    # The out-neighbours of v are targets[start[v] : start[v + 1]].
+    targets = g.array[:, 1].tolist()
+    start = np.searchsorted(g.array[:, 0], np.arange(n + 1)).tolist()
 
     index = [-1] * n
     low = [0] * n
@@ -307,21 +342,21 @@ def condense(g: Digraph) -> Condensation:
     for root in range(n):
         if index[root] != -1:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
+        work: list[tuple[int, int]] = [(root, start[root])]
         while work:
             v, ptr = work[-1]
-            if ptr == 0:
+            if index[v] == -1:
                 index[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
                 on_stack[v] = True
             advanced = False
-            while ptr < len(adj[v]):
-                w = adj[v][ptr]
+            while ptr < start[v + 1]:
+                w = targets[ptr]
                 ptr += 1
                 if index[w] == -1:
                     work[-1] = (v, ptr)
-                    work.append((w, 0))
+                    work.append((w, start[w]))
                     advanced = True
                     break
                 if on_stack[w]:
@@ -346,27 +381,25 @@ def condense(g: Digraph) -> Condensation:
     members: list[list[int]] = [[] for _ in range(n_comps)]
     for v in range(n):
         members[comp[v]].append(v)
-    dag_edges = {(comp[u], comp[v]) for u, v in g.edges if comp[u] != comp[v]}
+    cu, cv = np.array(comp, dtype=np.int64)[g.array.T]
+    cross = cu != cv
     return Condensation(
-        dag=Digraph(n_comps, dag_edges),
+        dag=Digraph(n_comps, np.column_stack([cu[cross], cv[cross]])),
         component_of=tuple(comp),
         representatives=tuple(tuple(ms) for ms in members),
     )
 
 
-def scc_star_edges(g: Digraph, c: Condensation) -> frozenset[tuple[int, int]]:
+def scc_star_edges(g: Digraph, c: Condensation) -> np.ndarray:
     """Two-way star through each SCC's representative (its smallest member).
 
-    Edges already present in g are skipped; at most 2*(n - #SCCs) edges.
+    Edges already present in g are skipped; at most 2*(n - #SCCs) rows of
+    an (m, 2) int array.
     """
-    out: set[tuple[int, int]] = set()
-    for ms in c.representatives:
-        rep = ms[0]
-        for v in ms[1:]:
-            for e in ((v, rep), (rep, v)):
-                if e not in g.edges:
-                    out.add(e)
-    return frozenset(out)
+    rep = np.array([ms[0] for ms in c.representatives], np.int64)[list(c.component_of)]
+    v = np.flatnonzero(rep != np.arange(g.n))
+    star = np.concatenate([np.column_stack([v, rep[v]]), np.column_stack([rep[v], v])])
+    return star[~g.has_pairs(star)]
 
 
 def apsp(g: WeightedDigraph) -> DistanceMatrix:
@@ -374,7 +407,7 @@ def apsp(g: WeightedDigraph) -> DistanceMatrix:
     n = g.n
     if n == 0:
         d = np.zeros((0, 0))
-    elif not g.edges:
+    elif not g.m:
         d = np.full((n, n), np.inf)
         np.fill_diagonal(d, 0.0)
     else:
@@ -398,7 +431,7 @@ def hop_limited_dist(g: WeightedDigraph, beta: int) -> DistanceMatrix:
     n = g.n
     dist = np.full((n, n), np.inf)
     np.fill_diagonal(dist, 0.0)
-    if beta == 0 or not g.edges or n == 0:
+    if beta == 0 or not g.m or n == 0:
         dist.setflags(write=False)
         return DistanceMatrix(n, dist)
 
@@ -428,12 +461,12 @@ def weighted_closure(g: WeightedDigraph) -> WeightedDigraph:
     mask = np.isfinite(d)
     np.fill_diagonal(mask, False)
     return WeightedDigraph(
-        g.n, ((int(u), int(v), int(d[u, v])) for u, v in np.argwhere(mask))
+        g.n, np.column_stack([np.argwhere(mask), d[mask].astype(np.int64)])
     )
 
 
 def unit_weights(g: Digraph) -> WeightedDigraph:
-    return WeightedDigraph(g.n, ((u, v, 1) for u, v in g.edges))
+    return WeightedDigraph(g.n, np.column_stack([g.array, np.ones(g.m, np.int64)]))
 
 
 # ---------------------------------------------------------------------------
@@ -500,26 +533,12 @@ def load_edge_list(text: str) -> LoadReport:
         rows = [(id_map[r[0]], id_map[r[1]], *r[2:]) for r in rows]
         n = len(id_map)
 
-    self_loops = 0
-    dupes = 0
-    seen: set[tuple[int, int]] = set()
-    kept: list[tuple[int, ...]] = []
-    for r in rows:
-        if r[0] == r[1]:
-            self_loops += 1
-            continue
-        if (r[0], r[1]) in seen:
-            dupes += 1
-            continue
-        seen.add((r[0], r[1]))
-        kept.append(r)
-
-    graph: Digraph | WeightedDigraph
-    if weighted:
-        graph = WeightedDigraph(n, kept)  # type: ignore[arg-type]
-    else:
-        graph = Digraph(n, kept)  # type: ignore[arg-type]
-    return LoadReport(graph, id_map, self_loops, dupes, declared_n)
+    arr = _int_rows(rows, want)
+    loops = arr[:, 0] == arr[:, 1]
+    arr = arr[~loops]
+    kept = arr[_kept_rows(n, arr, first_wins=True)]
+    graph = (WeightedDigraph if weighted else Digraph)(n, kept)
+    return LoadReport(graph, id_map, int(loops.sum()), len(arr) - len(kept), declared_n)
 
 
 def dump_edge_list(
@@ -529,8 +548,12 @@ def dump_edge_list(
     out = [f"# {c}" for c in comments]
     if isinstance(g, WeightedDigraph):
         out.append(f"{g.n} {g.m} {g.max_weight}")
-        out.extend(f"{u} {v} {w}" for u, v, w in sorted(g.edges))
     else:
         out.append(f"{g.n} {g.m}")
-        out.extend(f"{u} {v}" for u, v in sorted(g.edges))
+    out.extend(_format_rows(*g.array.T.tolist()))
     return "\n".join(out) + "\n"
+
+
+def _format_rows(*columns: Iterable[object]) -> Iterator[str]:
+    """Space-separated lines, one per row, from equal-length columns."""
+    return map(" ".join(["{}"] * len(columns)).format, *columns)

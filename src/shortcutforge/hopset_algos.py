@@ -33,9 +33,10 @@ from .graph_core import (
     WeightedDigraph,
     apsp,
     hop_limited_dist,
+    tagged_rows,
 )
 
-HOPSET_TAGS = ("induced_closure", "geometric_ladder", "recursive")
+HOPSET_TAGS = ("induced_closure", "geometric_ladder")
 
 MIN_HOPBOUND = 12
 
@@ -302,7 +303,8 @@ def hopset_large_hop(
     Samples ceil(c*(n/beta)^(4/3)*ln n) vertices, keeps sampled pairs whose
     true distance is already achieved within hop radius r (least r with
     r^3*n >= beta^4), and recurses with the small-hop construction; returned
-    edges are re-expressed with exact distances of the original graph.
+    edges are re-expressed with exact distances of the original graph and
+    keep the tag the inner construction gave them.
     """
     frac = as_eps(eps)
     if beta < MIN_HOPBOUND or beta < floor_root(g.n, 4):
@@ -328,24 +330,14 @@ def hopset_large_hop(
     ix = np.ix_(sampled, sampled)
     keep = np.isfinite(full[ix]) & (capped[ix] == full[ix])
     np.fill_diagonal(keep, False)
-    sub_edges = (
-        (int(a), int(b), int(full[sampled[a], sampled[b]]))
-        for a, b in np.argwhere(keep)
-    )
-    sub = WeightedDigraph(len(sampled), sub_edges)
+    sub_w = full[ix][keep].astype(np.int64)
+    sub = WeightedDigraph(len(sampled), np.column_stack([np.argwhere(keep), sub_w]))
 
     beta_sub = max(MIN_HOPBOUND, int(len(sampled) ** 0.25 / math.log(n)))
     inner = hopset_small_hop(sub, beta_sub, frac, c, seed=child_seed(seed))
-    rows = (
-        (
-            int(sampled[a]),
-            int(sampled[b]),
-            int(full[sampled[a], sampled[b]]),
-            "recursive",
-        )
-        for a, b, _, _ in inner.tagged
-    )
-    return HopsetEdges(n, rows, params)
+    a, b = sampled[inner.array[:, :2].T]
+    rows = np.column_stack([a, b, full[a, b].astype(np.int64)])
+    return HopsetEdges(n, tagged_rows(rows, inner.tags), params)
 
 
 def build_hopset(

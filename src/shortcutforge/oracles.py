@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -76,53 +76,59 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _edge_pairs(h) -> list[tuple[int, int]]:
-    items = getattr(h, "edges", h)
-    return sorted((int(u), int(v)) for u, v in items)
+def _edge_array(h, width: int) -> np.ndarray:
+    """Rows of h as an (m, width) int array in lexicographic order.
+
+    h is an edge container (its ``array``, else its ``edges``) or a plain
+    iterable or array of rows.
+    """
+    items = getattr(h, "array", None)
+    if items is None:
+        items = getattr(h, "edges", h)
+    rows = np.asarray(
+        items if isinstance(items, np.ndarray) else list(items), dtype=np.int64
+    )
+    if rows.size == 0:
+        return rows.reshape(0, width)
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise ValueError(f"expected edge rows of {width} fields")
+    return rows[np.lexsort(rows.T[::-1])]
 
 
-def _edge_triples(h) -> list[tuple[int, int, int]]:
-    items = getattr(h, "edges", h)
-    return sorted((int(u), int(v), int(w)) for u, v, w in items)
+def _first_row(rows: np.ndarray, mask: np.ndarray) -> tuple | None:
+    return tuple(rows[np.argmax(mask)].tolist()) if mask.any() else None
 
 
-def _bfs_hops(n: int, edges: Iterable[tuple[int, int]]) -> np.ndarray:
-    rows = sorted(set(edges))
-    if n == 0 or not rows:
+def _bfs_hops(n: int, edges: np.ndarray) -> np.ndarray:
+    if n == 0 or not len(edges):
         out = np.full((n, n), np.inf)
         if n:
             np.fill_diagonal(out, 0.0)
         return out
-    arr = np.array(rows, dtype=np.intp)
     mat = csr_matrix(
-        (np.ones(len(rows)), (arr[:, 0], arr[:, 1])), shape=(n, n)
+        (np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n)
     )
     return csgraph.shortest_path(mat, method="D", unweighted=True)
 
 
 def verify_shortcut(g: Digraph, h, d: int, instance: str = "") -> VerificationReport:
     """Closure membership, closure preservation, and hop diameter vs d."""
-    edges = _edge_pairs(h)
-    base = _bfs_hops(g.n, g.edges)
+    edges = _edge_array(h, 2)
+    g_edges = _edge_array(g, 2)
+    base = _bfs_hops(g.n, g_edges)
     reach = np.isfinite(base)
     checks: list[Check] = []
 
-    bad = next(
-        (
-            e
-            for e in edges
-            if e[0] == e[1]
-            or not (0 <= e[0] < g.n and 0 <= e[1] < g.n)
-            or not reach[e]
-        ),
-        None,
-    )
+    u, v = edges.T
+    in_range = (u >= 0) & (u < g.n) & (v >= 0) & (v < g.n)
+    member = in_range & (u != v)
+    member[member] = reach[u[member], v[member]]
+    bad = _first_row(edges, ~member)
     checks.append(
         Check("closure_membership", "fail" if bad else "pass", witness=bad)
     )
 
-    in_range = [e for e in edges if 0 <= e[0] < g.n and 0 <= e[1] < g.n]
-    union = _bfs_hops(g.n, list(g.edges) + in_range)
+    union = _bfs_hops(g.n, np.concatenate([g_edges, edges[in_range]]))
     diff = np.argwhere(np.isfinite(union) != reach)
     checks.append(
         Check(
@@ -168,29 +174,19 @@ def verify_hopset(
     """Weight exactness plus both sides of the (beta, eps) sandwich."""
     frac = _as_fraction(eps)
     num, den = frac.numerator, frac.denominator
-    triples = _edge_triples(h)
+    triples = _edge_array(h, 3)
     dg = apsp(g).dist
     checks: list[Check] = []
 
-    bad = next(
-        (
-            t
-            for t in triples
-            if t[0] == t[1]
-            or not (0 <= t[0] < g.n and 0 <= t[1] < g.n)
-            or not np.isfinite(dg[t[0], t[1]])
-            or t[2] != int(dg[t[0], t[1]])
-        ),
-        None,
-    )
+    u, v, w = triples.T
+    pair_ok = (u >= 0) & (u < g.n) & (v >= 0) & (v < g.n) & (u != v)
+    exact = pair_ok.copy()
+    dist = dg[u[pair_ok], v[pair_ok]]
+    exact[pair_ok] = np.isfinite(dist) & (w[pair_ok] == dist)
+    bad = _first_row(triples, ~exact)
     checks.append(Check("weight_exactness", "fail" if bad else "pass", witness=bad))
 
-    usable = [
-        t
-        for t in triples
-        if 0 <= t[0] < g.n and 0 <= t[1] < g.n and t[0] != t[1] and t[2] >= 1
-    ]
-    union = g.union_min(usable)
+    union = g.union_min(triples[pair_ok & (w >= 1)])
     dh = hop_limited_dist(union, beta).dist
 
     lower_bad = np.argwhere(dh < dg)
@@ -352,7 +348,7 @@ def _kahn_order(g: Digraph) -> list[int]:
     """Vertices peelable by repeated in-degree-0 deletion; complete iff acyclic."""
     indeg = [0] * g.n
     adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in sorted(g.edges):
+    for u, v in _edge_array(g, 2).tolist():
         adj[u].append(v)
         indeg[v] += 1
     queue = sorted(v for v in range(g.n) if indeg[v] == 0)
@@ -386,11 +382,9 @@ def check_lb_properties(
     else:
         checks.append(Check("acyclic", "pass"))
 
-    indeg = np.zeros(g.n, dtype=np.int64)
-    outdeg = np.zeros(g.n, dtype=np.int64)
-    for u, v in g.edges:
-        outdeg[u] += 1
-        indeg[v] += 1
+    edges = _edge_array(g, 2)
+    outdeg = np.bincount(edges[:, 0], minlength=g.n)
+    indeg = np.bincount(edges[:, 1], minlength=g.n)
     d_in = int(indeg.max()) if g.n else 0
     d_out = int(outdeg.max()) if g.n else 0
     if max_degree is None:
@@ -430,7 +424,7 @@ def check_lb_properties(
 
     if order is not None:
         adj: dict[int, list[int]] = {v: [] for v in range(g.n)}
-        for u, v in g.edges:
+        for u, v in edges.tolist():
             adj[u].append(v)
         nonunique = None
         for p in paths:

@@ -29,6 +29,7 @@ from .graph_core import (
     closure_digraph,
     condense,
     scc_star_edges,
+    tagged_rows,
     transitive_closure,
 )
 from .line_shortcut import shortcut_path
@@ -69,8 +70,7 @@ def folklore(g: Digraph, d: int, c: float = 3.0, *, seed: int) -> ShortcutSet:
     mask = sample_mask(seed, SITE_VERTEX_SAMPLE, g.n, p)
     bits = transitive_closure(g).bits & np.outer(mask, mask)
     np.fill_diagonal(bits, False)
-    rows = ((int(u), int(v), "baseline") for u, v in np.argwhere(bits))
-    return ShortcutSet(g.n, rows, params)
+    return ShortcutSet(g.n, tagged_rows(np.argwhere(bits), "baseline"), params)
 
 
 def first_incoming_edge(
@@ -174,8 +174,7 @@ def shortcut_large_d(
 
     d_sub = max(3, int(n_sub ** (1.0 / 3.0) / math.log(n)))
     inner = shortcut_small_diam(sub, d_sub, c, seed=child_seed(seed))
-    rows = ((int(sampled[a]), int(sampled[b]), tag) for a, b, tag in inner.tagged)
-    return ShortcutSet(n, rows, params)
+    return ShortcutSet(n, tagged_rows(sampled[inner.array], inner.tags), params)
 
 
 def build_shortcuts(
@@ -195,19 +194,19 @@ def build_shortcuts(
     cond = condense(g)
     dag = cond.dag
 
-    rows: list[tuple[int, int, str]] = []
+    parts = []
     if dag.n > 1:
         use_small = mode == "small" or (mode == "auto" and d <= small_diam_limit(dag.n))
         if use_small:
             inner = shortcut_small_diam(dag, d, c, seed=seed)
         else:
             inner = shortcut_large_d(dag, d, c, seed=seed)
-        for a, b, tag in inner.tagged:
-            edge = (cond.representatives[a][0], cond.representatives[b][0])
-            if edge not in g.edges:
-                rows.append((*edge, tag))
-    rows.extend((u, v, "lifted") for u, v in scc_star_edges(g, cond))
-    return ShortcutSet(g.n, rows, params)
+        reps = np.array([members[0] for members in cond.representatives])
+        lifted = reps[inner.array]
+        fresh = ~g.has_pairs(lifted)
+        parts.append(tagged_rows(lifted[fresh], inner.tags[fresh]))
+    parts.append(tagged_rows(scc_star_edges(g, cond), "lifted"))
+    return ShortcutSet(g.n, np.concatenate(parts), params)
 
 
 def transitive_reduction(dag: Digraph) -> Digraph:
@@ -222,7 +221,7 @@ def transitive_reduction(dag: Digraph) -> Digraph:
     np.fill_diagonal(direct, False)
     detour = (direct.astype(np.float32) @ direct.astype(np.float32)) > 0
     keep = direct & ~detour
-    return Digraph(dag.n, ((int(u), int(v)) for u, v in np.argwhere(keep)))
+    return Digraph(dag.n, np.argwhere(keep))
 
 
 def _tc_spanner_parts(
@@ -231,16 +230,12 @@ def _tc_spanner_parts(
     if k < 3:
         raise ValueError(f"hop target must be >= 3, got {k}")
     cond = condense(g)
-    base_edges: set[tuple[int, int]] = set()
-    for members in cond.representatives:
+    reps = np.array([members[0] for members in cond.representatives], np.int64)
+    parts = [reps[transitive_reduction(cond.dag).array]]
+    for members in cond.representatives:  # each is sorted; close it into a ring
         if len(members) >= 2:
-            ring = sorted(members)
-            base_edges.update(zip(ring, ring[1:]))
-            base_edges.add((ring[-1], ring[0]))
-    reps = [members[0] for members in cond.representatives]
-    for a, b in transitive_reduction(cond.dag).edges:
-        base_edges.add((reps[a], reps[b]))
-    base = Digraph(g.n, base_edges)
+            parts.append(np.column_stack([members, np.roll(members, -1)]))
+    base = Digraph(g.n, np.concatenate(parts))
     return base, build_shortcuts(base, k, c, seed=seed)
 
 

@@ -102,6 +102,29 @@ def test_verify_failure_exits_1(tmp_path):
                "--mode", "shortcut", "--diameter", "3") == 1
 
 
+@pytest.mark.parametrize(
+    "text, code, err",
+    [
+        ("# c\n4 3\n0 1 path_shortcut\n\n1 2\n0 2 lifted extra # x\n", 0, ""),
+        ("", 2, "empty edge file"),
+        ("4\n", 2, "line 1: header must start with 'n m'"),
+        ("4 1\n0 x 1\n", 2, "line 2: expected 'u v [w] [tag]'"),
+        ("4 2\n0 1 tag\n1 2 5 tag\n", 2, "line 3: expected 2 integers, as on the first row"),
+    ],
+    ids=["tags_optional", "empty", "header", "row", "mixed_widths"],
+)
+def test_verify_edge_file_reader(tmp_path, capsys, text, code, err):
+    g = tmp_path / "g.txt"
+    h = tmp_path / "h.txt"
+    assert run("gen", "--family", "path", "--n", "4", "--seed", "0",
+               "--out", str(g)) == 0
+    h.write_text(text)
+    capsys.readouterr()
+    assert run("verify", "--graph", str(g), "--edges", str(h),
+               "--mode", "shortcut", "--diameter", "2") == code
+    assert err in capsys.readouterr().err
+
+
 def test_gen_subdivide(tmp_path):
     g = tmp_path / "gk.txt"
     assert run("gen", "--family", "path", "--n", "4", "--k", "2",

@@ -10,7 +10,8 @@ import hashlib
 
 from shortcutforge.cli import main
 
-# (output name, argv without --out); a ".out" name hashes stdout instead.
+# (output name, argv).  A ".txt" name is passed after --out and a ".json" name
+# after --json, and the file is hashed; a ".out" name hashes stdout instead.
 STEPS = (
     ("dag.txt", ("gen", "--family", "random_dag", "--n", "64", "--p", "0.1", "--seed", "5")),
     ("cyc.txt", ("gen", "--family", "random_digraph", "--n", "60", "--p", "0.025",
@@ -32,7 +33,18 @@ STEPS = (
                     "--seed", "1")),
     ("decomp.out", ("decomp", "--input", "dag.txt", "--ell", "8")),
     ("closure.out", ("decomp", "--input", "dag.txt", "--ell", "8", "--closure")),
+    ("verify_small.out", ("verify", "--graph", "dag.txt", "--edges", "small.txt",
+                          "--mode", "shortcut", "--diameter", "4")),
+    ("verify_small_d1.out", ("verify", "--graph", "dag.txt", "--edges", "small.txt",
+                             "--mode", "shortcut", "--diameter", "1")),
+    ("verify_hopset.out", ("verify", "--graph", "w.txt", "--edges", "hopset.txt",
+                           "--mode", "hopset", "--beta", "12", "--eps", "1/4")),
+    ("verify_hopset.json", ("verify", "--graph", "w.txt", "--edges", "hopset.txt",
+                            "--mode", "hopset", "--beta", "12", "--eps", "1/4")),
 )
+
+# Steps that fail verification, with a witness; every other step exits 0.
+EXIT_CODES = {"verify_small_d1.out": 1}
 
 EXPECTED = {
     "dag.txt": "21200ce5bb38581efa46b81264a974879caf4f87ac7a24df2d0a8545d1d4d61a",
@@ -44,22 +56,31 @@ EXPECTED = {
     "large.txt": "9cb27334d3e85f771b240c3463a2676e93bcec19902e3c12dd80fe9ab35b91b3",
     "folklore.txt": "c1462efe3ca10e9deadb568cc4ae8c0782a096305b572d2347abe784d131ea9d",
     "tcspanner.txt": "257b3a685e56b92231aa168dab8ef938c3441b9eab0345e8c6c4d1b02290ac27",
-    "hopset.txt": "10b70f11c220a52133dfd2b82bca0866dc8d5c9769912a8582d63b1d6323f432",
+    # The large-hop route keeps each inner row's tag instead of "recursive";
+    # only the tag column and the "edge counts:" line differ from before.
+    "hopset.txt": "aaf2178cd57fd05ae76617b54f018c3f769997aa7860c4a7d01db7f23a5c5048",
     "decomp.out": "ddd886ad9226ed0f37ffffd5d2c325c4ea6ed3f39396d69ccc920d07e8747e3c",
     "closure.out": "ddd886ad9226ed0f37ffffd5d2c325c4ea6ed3f39396d69ccc920d07e8747e3c",
+    "verify_small.out": "058346c617ddc943c7e8eef5bf251b864936b72e9132d13fa8d5702854a607fa",
+    "verify_small_d1.out": "022bb19a65194cdc9890380e0b6b4b180c3a941711706b5dceb19aa9bbe170e6",
+    "verify_hopset.out": "253cdd4685c0ca1bb28276e5df27b6f5d81d61b9595ba079a4c107418f49119d",
+    "verify_hopset.json": "d3f18e9db4b1ba2fce14ed8f97bbd9fab36785b5723deae957b0906e1c5a623e",
 }
 
 
-def test_cli_outputs_match_pinned_digests(tmp_path, capsys):
+def test_cli_outputs_match_pinned_digests(tmp_path, capsys, monkeypatch):
+    # Bare file names: the verify report names its edge file.
+    monkeypatch.chdir(tmp_path)
     got = {}
     for name, argv in STEPS:
-        argv = [str(tmp_path / a) if a.endswith(".txt") else a for a in argv]
         capsys.readouterr()
+        code = EXIT_CODES.get(name, 0)
         if name.endswith(".out"):
-            assert main(argv) == 0
+            assert main(list(argv)) == code
             data = capsys.readouterr().out.encode()
         else:
-            assert main([*argv, "--out", str(tmp_path / name)]) == 0
+            flag = "--json" if name.endswith(".json") else "--out"
+            assert main([*argv, flag, name]) == code
             data = (tmp_path / name).read_bytes()
         got[name] = hashlib.sha256(data).hexdigest()
     assert got == EXPECTED

@@ -79,6 +79,49 @@ def random_weighted(n: int, p: float, w_max: int, rng: np.random.Generator) -> W
     )
 
 
+class TestContainers:
+    @pytest.mark.parametrize(
+        "make, match",
+        [
+            (lambda: Digraph(3, [(0, 1), (2, 2)]), "self-loop"),
+            (lambda: Digraph(3, [(0, 3)]), "out of range"),
+            (lambda: Digraph(3, [(-1, 0)]), "out of range"),
+            (lambda: WeightedDigraph(3, [(1, 1, 4)]), "self-loop"),
+            (lambda: WeightedDigraph(3, [(0, 5, 4)]), "out of range"),
+            (lambda: WeightedDigraph(3, [(0, 1, 0)]), r"weight 0 < 1"),
+            (lambda: WeightedDigraph(3, [(0, 1, 2), (0, 1, 3)]), "duplicate weights"),
+        ],
+    )
+    def test_bad_edges_rejected(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
+
+    def test_duplicates_collapse(self):
+        g = Digraph(3, [(0, 1), (1, 2), (0, 1)])
+        assert g.m == 2 and g.edges == {(0, 1), (1, 2)}
+        w = WeightedDigraph(3, [(0, 1, 4), (1, 2, 1), (0, 1, 4)])
+        assert w.m == 2 and w.edges == {(0, 1, 4), (1, 2, 1)}
+
+    @pytest.mark.parametrize(
+        "cls, rows",
+        [
+            (Digraph, [(2, 0), (0, 1), (1, 3)]),
+            (WeightedDigraph, [(2, 0, 5), (0, 1, 1), (1, 3, 2)]),
+        ],
+    )
+    def test_equal_whatever_the_row_source(self, cls, rows):
+        built = [
+            cls(4, rows),
+            cls(4, (r for r in rows)),
+            cls(4, np.array(rows, dtype=np.int64)),
+            cls(4, reversed(rows)),
+        ]
+        for g in built[1:]:
+            assert g == built[0] and hash(g) == hash(built[0])
+        assert cls(4, rows[:2]) != built[0]
+        assert cls(5, rows) != built[0]
+
+
 class TestClosure:
     def test_against_dfs_oracle(self):
         rng = np.random.default_rng(101)

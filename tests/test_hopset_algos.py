@@ -68,13 +68,18 @@ class TestHopsetEdges:
     def test_dedupe_first_wins(self):
         params = HopsetParams(12, EPS14, 3.0, 0)
         h = HopsetEdges(
-            3, [(0, 1, 5, "induced_closure"), (0, 1, 7, "recursive")], params
+            3, [(0, 1, 5, "induced_closure"), (0, 1, 7, "geometric_ladder")], params
         )
         assert h.tagged == ((0, 1, 5, "induced_closure"),)
 
     @pytest.mark.parametrize(
         "row",
-        [(0, 0, 1, "recursive"), (0, 1, 0, "recursive"), (0, 1, 1, "nope")],
+        [
+            (0, 0, 1, "induced_closure"),
+            (0, 1, 0, "induced_closure"),
+            (0, 1, 1, "nope"),
+            (0, 1, 1, "recursive"),
+        ],
     )
     def test_rejects_bad_rows(self, row):
         with pytest.raises(ValueError):
@@ -261,9 +266,11 @@ class TestLargeHop:
         g = random_weighted(400, 0.03, 20, 7)
         h = hopset_large_hop(g, 80, EPS14, seed=7)
         dist = apsp(g).dist
-        assert all(tag == "recursive" for _, _, _, tag in h.tagged)
         for u, v, w, _ in h.tagged:
             assert w == dist[u, v]
+        counts = h.tag_counts
+        assert counts["induced_closure"] > 0 and counts["geometric_ladder"] > 0
+        assert sum(counts.values()) == len(h)
 
 
 class TestBuildHopset:
