@@ -50,7 +50,6 @@ from .oracles import (
     verify_shortcut,
 )
 from .shortcut_algos import (
-    FirstIncomingEdge,
     ShortcutParams,
     ShortcutSet,
     build_shortcuts,
@@ -105,7 +104,6 @@ __all__ = [
     "verify_hopset",
     "verify_nice",
     "verify_shortcut",
-    "FirstIncomingEdge",
     "ShortcutParams",
     "ShortcutSet",
     "build_shortcuts",

@@ -6,6 +6,12 @@ split the residue into antichains by Mirsky levels.  Peeled chains each carry
 at least the threshold's worth of vertices, so the peeling provably stops
 well inside the budget and the residue has fewer than ceil(2n/ell) levels.
 
+Each peel is one level sweep: Kahn rounds over the alive vertices, one array
+row sum per round, give every vertex its level, the vertex count of the
+longest alive path ending there.  The chain is walked back from the
+smallest-id vertex on the top level, taking the smallest-id predecessor one
+level down at each step; the residue's levels are its antichains.
+
 Callers that want chains of the reachability order rather than of the raw
 edge set pass the closure itself as a ReachabilityMatrix, whose off-diagonal
 bits then serve as the edges; antichain independence is always relative to
@@ -34,20 +40,24 @@ class ChainDecomposition:
         return out
 
 
-def _longest_path_dp(
-    adj: np.ndarray, ids: np.ndarray, topo: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """dp[i] = max vertices on a path ending at ids[i]; parent for rebuild."""
-    m = len(ids)
-    dp = np.ones(m, dtype=np.int64)
-    parent = np.full(m, -1, dtype=np.int64)
-    for pos in topo:
-        preds = np.flatnonzero(adj[:, pos])
-        if preds.size:
-            best = preds[np.argmax(dp[preds])]
-            dp[pos] = dp[best] + 1
-            parent[pos] = best
-    return dp, parent
+def _levels(adj: np.ndarray, alive: np.ndarray) -> np.ndarray:
+    """Vertices on the longest alive path ending at each alive vertex, else 0.
+
+    Kahn rounds over the alive vertices: round k takes every vertex whose
+    alive predecessors were all taken in earlier rounds, which is level k.
+    """
+    level = np.zeros(len(alive), dtype=np.int64)
+    indeg = adj[alive].sum(axis=0, dtype=np.int32)
+    indeg[~alive] = -1
+    frontier = np.flatnonzero(indeg == 0)
+    depth = 0
+    while frontier.size:
+        depth += 1
+        level[frontier] = depth
+        indeg[frontier] = -1
+        indeg -= adj[frontier].sum(axis=0, dtype=np.int32)
+        frontier = np.flatnonzero(indeg == 0)
+    return level
 
 
 def decompose(dag: Digraph | ReachabilityMatrix, ell: int) -> ChainDecomposition:
@@ -60,45 +70,29 @@ def decompose(dag: Digraph | ReachabilityMatrix, ell: int) -> ChainDecomposition
     if not 1 <= ell <= n:
         raise ValueError(f"ell={ell} outside [1, n={n}]")
     if isinstance(dag, ReachabilityMatrix):
-        closure = dag
-        adj_full = closure.bits.copy()
-        np.fill_diagonal(adj_full, False)
+        check_acyclic(dag)
+        adj = dag.bits.copy()
+        np.fill_diagonal(adj, False)
     else:
-        closure = transitive_closure(dag)
-        adj_full = dag.adjacency
-    check_acyclic(closure)
+        check_acyclic(transitive_closure(dag))
+        adj = dag.adjacency
 
     threshold = -(-2 * n // ell)
-    # Ancestor counts grow strictly along any edge, so sorting by them is a
-    # topological order of every induced subgraph.
-    anc = closure.bits.sum(axis=0)
     alive = np.ones(n, dtype=bool)
     chains: list[tuple[int, ...]] = []
+    level = _levels(adj, alive)
+    while len(chains) < ell and level.max() >= threshold:
+        # Smallest-id end on the top level, then smallest-id predecessor one
+        # level down at each step back.
+        rev = [int(np.argmax(level))]
+        for lvl in range(int(level[rev[0]]) - 1, 0, -1):
+            rev.append(int(np.argmax(adj[:, rev[-1]] & (level == lvl))))
+        chains.append(tuple(reversed(rev)))
+        alive[rev] = False
+        level = _levels(adj, alive)
 
-    for _ in range(ell):
-        ids = np.flatnonzero(alive)
-        if ids.size == 0:
-            break
-        adj = adj_full[np.ix_(ids, ids)]
-        topo = np.argsort(anc[ids], kind="stable")
-        dp, parent = _longest_path_dp(adj, ids, topo)
-        if dp.max() < threshold:
-            break
-        end = int(np.argmax(dp))  # first maximum = smallest end-vertex id
-        rev = [end]
-        while parent[rev[-1]] != -1:
-            rev.append(int(parent[rev[-1]]))
-        chain = tuple(int(ids[i]) for i in reversed(rev))
-        chains.append(chain)
-        alive[list(chain)] = False
-
-    ids = np.flatnonzero(alive)
-    antichains: list[frozenset[int]] = []
-    if ids.size:
-        adj = adj_full[np.ix_(ids, ids)]
-        topo = np.argsort(anc[ids], kind="stable")
-        levels, _ = _longest_path_dp(adj, ids, topo)
-        for lvl in range(1, int(levels.max()) + 1):
-            members = ids[levels == lvl]
-            antichains.append(frozenset(int(v) for v in members))
-    return ChainDecomposition(tuple(chains), tuple(antichains), ell)
+    antichains = tuple(
+        frozenset(np.flatnonzero(level == lvl).tolist())
+        for lvl in range(1, int(level.max()) + 1)
+    )
+    return ChainDecomposition(tuple(chains), antichains, ell)

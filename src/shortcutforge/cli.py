@@ -67,9 +67,11 @@ def _read_graph(path: str) -> Digraph | WeightedDigraph:
             file=sys.stderr,
         )
     if report.id_map is not None:
+        originals = " ".join(map(str, sorted(report.id_map, key=report.id_map.get)))
         print(
             f"note: {path}: vertex ids renumbered, n={report.declared_n} ->"
-            f" n={report.graph.n}; new ids follow the sorted order of the original ids",
+            f" n={report.graph.n}; new ids follow the sorted order of the original ids;"
+            f" original ids by new id: {originals}",
             file=sys.stderr,
         )
     return report.graph

@@ -50,15 +50,6 @@ class ShortcutSet(TaggedEdges):
     TAGS = TAGS
 
 
-@dataclass(frozen=True)
-class FirstIncomingEdge:
-    """Earliest vertex of one chain that a given source can reach."""
-
-    source: int
-    chain: int  # caller-side chain id
-    target: int
-
-
 def folklore(g: Digraph, d: int, c: float = 3.0, *, seed: int) -> ShortcutSet:
     """Baseline: all closure pairs between vertices sampled at c*ln(n)/d."""
     if d < 1:
@@ -74,29 +65,26 @@ def folklore(g: Digraph, d: int, c: float = 3.0, *, seed: int) -> ShortcutSet:
 
 
 def first_incoming_edge(
-    closure: ReachabilityMatrix,
-    v: int,
-    chain: Sequence[int],
-    chain_id: int = 0,
-) -> FirstIncomingEdge | None:
-    """Binary search for the first chain vertex (other than v) reachable from v.
+    closure: ReachabilityMatrix, sources: np.ndarray, chains: Sequence[Sequence[int]]
+) -> np.ndarray:
+    """(k, 2) rows (s, t), t the first vertex of a chain other than s that s reaches.
 
-    Reachability to a chain is suffix-closed, so "v reaches chain[i]" is a
-    monotone predicate; note it holds at v's own position when v lies on the
-    chain, in which case the answer is the next position.
+    Reachability into a chain is suffix-closed, so the first reachable
+    position is the first True of the source's row over the chain; clearing
+    each source's own bit first moves a source on the chain to the next
+    position.  A (source, chain) pair with no such vertex gives no row.
     """
-    lo, hi = 0, len(chain)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if closure.has(v, chain[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    if lo < len(chain) and chain[lo] == v:
-        lo += 1
-    if lo >= len(chain):
-        return None
-    return FirstIncomingEdge(source=v, chain=chain_id, target=int(chain[lo]))
+    sources = np.asarray(sources, dtype=np.int64)
+    reach = closure.bits[sources]
+    reach[np.arange(len(sources)), sources] = False
+    hits = [np.empty((0, 2), dtype=np.int64)]
+    for chain in chains:
+        chain = np.asarray(chain, dtype=np.int64)
+        block = reach[:, chain]
+        first = block.argmax(axis=1)
+        hit = np.flatnonzero(block[np.arange(len(sources)), first])
+        hits.append(np.column_stack([sources[hit], chain[first[hit]]]))
+    return np.concatenate(hits)
 
 
 def small_diam_limit(n: int) -> int:
@@ -123,21 +111,20 @@ def shortcut_small_diam(
     ell = min(n, -(-16 * n // d))
     decomp = decompose(closure, ell)
 
-    rows: list[tuple[int, int, str]] = []
+    pairs: list[tuple[int, int]] = []
     for chain in decomp.chains:
-        for a, b in zip(chain, chain[1:]):
-            rows.append((a, b, "path_shortcut"))
-        for a, b in shortcut_path(chain).edges:
-            rows.append((a, b, "path_shortcut"))
+        pairs.extend(zip(chain, chain[1:]))
+        pairs.extend(shortcut_path(chain).edges)
 
     p = min(1.0, c * math.log(n) / d) if n > 1 else 1.0
     v_mask = sample_mask(seed, SITE_VERTEX_SAMPLE, n, p)
     c_mask = sample_mask(seed, SITE_GROUP_SAMPLE, len(decomp.chains), p)
-    for v in map(int, np.flatnonzero(v_mask)):
-        for i in map(int, np.flatnonzero(c_mask)):
-            hit = first_incoming_edge(closure, v, decomp.chains[i], i)
-            if hit is not None:
-                rows.append((hit.source, hit.target, "sampled_pair"))
+    sampled = [decomp.chains[i] for i in np.flatnonzero(c_mask)]
+    hits = first_incoming_edge(closure, np.flatnonzero(v_mask), sampled)
+    rows = np.concatenate([
+        tagged_rows(np.array(pairs, dtype=np.int64).reshape(-1, 2), "path_shortcut"),
+        tagged_rows(hits, "sampled_pair"),
+    ])
     return ShortcutSet(n, rows, params)
 
 

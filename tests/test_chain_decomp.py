@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shortcutforge.chain_decomp import decompose
+from shortcutforge.chain_decomp import ChainDecomposition, decompose
 from shortcutforge.graph_core import (
     Digraph,
+    ReachabilityMatrix,
+    check_acyclic,
     closure_digraph,
     transitive_closure,
 )
@@ -130,3 +132,83 @@ def test_fuzz_invariants(n, p, seed, data):
     g = random_dag(n, p, np.random.default_rng(seed))
     ell = data.draw(st.integers(min_value=1, max_value=n))
     assert_valid(g, ell, decompose(g, ell))
+
+
+# Reference: the per-vertex longest-path peeling that the level sweep in
+# ``decompose`` replaced, kept verbatim as a differential oracle.
+def _longest_path_dp(
+    adj: np.ndarray, ids: np.ndarray, topo: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """dp[i] = max vertices on a path ending at ids[i]; parent for rebuild."""
+    m = len(ids)
+    dp = np.ones(m, dtype=np.int64)
+    parent = np.full(m, -1, dtype=np.int64)
+    for pos in topo:
+        preds = np.flatnonzero(adj[:, pos])
+        if preds.size:
+            best = preds[np.argmax(dp[preds])]
+            dp[pos] = dp[best] + 1
+            parent[pos] = best
+    return dp, parent
+
+
+def reference_decompose(dag: Digraph | ReachabilityMatrix, ell: int) -> ChainDecomposition:
+    n = dag.n
+    if not 1 <= ell <= n:
+        raise ValueError(f"ell={ell} outside [1, n={n}]")
+    if isinstance(dag, ReachabilityMatrix):
+        closure = dag
+        adj_full = closure.bits.copy()
+        np.fill_diagonal(adj_full, False)
+    else:
+        closure = transitive_closure(dag)
+        adj_full = dag.adjacency
+    check_acyclic(closure)
+
+    threshold = -(-2 * n // ell)
+    anc = closure.bits.sum(axis=0)
+    alive = np.ones(n, dtype=bool)
+    chains: list[tuple[int, ...]] = []
+
+    for _ in range(ell):
+        ids = np.flatnonzero(alive)
+        if ids.size == 0:
+            break
+        adj = adj_full[np.ix_(ids, ids)]
+        topo = np.argsort(anc[ids], kind="stable")
+        dp, parent = _longest_path_dp(adj, ids, topo)
+        if dp.max() < threshold:
+            break
+        end = int(np.argmax(dp))  # first maximum = smallest end-vertex id
+        rev = [end]
+        while parent[rev[-1]] != -1:
+            rev.append(int(parent[rev[-1]]))
+        chain = tuple(int(ids[i]) for i in reversed(rev))
+        chains.append(chain)
+        alive[list(chain)] = False
+
+    ids = np.flatnonzero(alive)
+    antichains: list[frozenset[int]] = []
+    if ids.size:
+        adj = adj_full[np.ix_(ids, ids)]
+        topo = np.argsort(anc[ids], kind="stable")
+        levels, _ = _longest_path_dp(adj, ids, topo)
+        for lvl in range(1, int(levels.max()) + 1):
+            members = ids[levels == lvl]
+            antichains.append(frozenset(int(v) for v in members))
+    return ChainDecomposition(tuple(chains), tuple(antichains), ell)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    p=st.floats(min_value=0.0, max_value=0.5),
+    seed=st.integers(min_value=0, max_value=10**6),
+    data=st.data(),
+)
+def test_matches_per_vertex_reference(n, p, seed, data):
+    g = random_dag(n, p, np.random.default_rng(seed))
+    reach = transitive_closure(g)
+    ell = data.draw(st.integers(min_value=1, max_value=n))
+    for x in (g, reach):
+        assert decompose(x, ell) == reference_decompose(x, ell)

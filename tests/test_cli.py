@@ -153,7 +153,7 @@ def test_decomp_prints_chains(tmp_path, capsys):
          "dropped 1 self-loop(s) and 1 duplicate edge(s)"),
         ("5 3\n10 11\n11 12\n12 13\n",
          "vertex ids renumbered, n=5 -> n=4; new ids follow the sorted order"
-         " of the original ids"),
+         " of the original ids; original ids by new id: 10 11 12 13\n"),
     ],
     ids=["valid", "dropped", "renumbered"],
 )

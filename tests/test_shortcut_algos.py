@@ -7,6 +7,7 @@ import pytest
 
 from shortcutforge.chain_decomp import decompose
 from shortcutforge.generators import GenSpec, generate
+from shortcutforge.line_shortcut import shortcut_path
 from shortcutforge.graph_core import (
     Digraph,
     closure_digraph,
@@ -85,32 +86,33 @@ class TestFirstIncoming:
         g = random_dag(64, 0.08, seed=11)
         closure = transitive_closure(g)
         chains = decompose(closure_digraph(closure), 16).chains
+        want = set()
         for v in range(g.n):
-            for cid, chain in enumerate(chains):
-                want = None
+            for chain in chains:
                 for u in chain:
                     if u != v and closure.has(v, u):
-                        want = u
+                        want.add((v, u))
                         break
-                got = first_incoming_edge(closure, v, chain, cid)
-                if want is None:
-                    assert got is None
-                else:
-                    assert got is not None
-                    assert (got.source, got.chain, got.target) == (v, cid, want)
+        got = first_incoming_edge(closure, np.arange(g.n), chains)
+        assert got.shape == (len(want), 2)
+        assert {(int(s), int(t)) for s, t in got} == want
 
     def test_vertex_on_chain_gets_next_position(self):
         g = path_graph(6)
         closure = transitive_closure(g)
         chain = (0, 1, 2, 3, 4, 5)
-        hit = first_incoming_edge(closure, 2, chain)
-        assert hit is not None and hit.target == 3
+        got = first_incoming_edge(closure, np.array([2, 5]), [chain])
+        assert got.tolist() == [[2, 3]]
 
     def test_unreachable_returns_none(self):
         g = Digraph(4, [(0, 1)])
         closure = transitive_closure(g)
-        assert first_incoming_edge(closure, 3, (0, 1)) is None
-        assert first_incoming_edge(closure, 1, (0,)) is None
+        assert first_incoming_edge(closure, np.array([3]), [(0, 1)]).shape == (0, 2)
+        assert first_incoming_edge(closure, np.array([1]), [(0,)]).shape == (0, 2)
+
+    def test_no_chains_gives_no_rows(self):
+        closure = transitive_closure(path_graph(4))
+        assert first_incoming_edge(closure, np.arange(4), []).shape == (0, 2)
 
 
 class TestFolklore:
@@ -175,6 +177,17 @@ class TestSmallDiam:
             for i, u in enumerate(chain):
                 for v in chain[i + 1 :]:
                     assert hops[relabel[u], relabel[v]] <= 2
+
+    def test_path_rows_within_size_bound(self):
+        for seed in range(5):
+            g = random_dag(125, 0.05, seed=seed)
+            d = 5
+            hs = shortcut_small_diam(g, d, 3.0, seed=seed)
+            ell = min(g.n, -(-16 * g.n // d))
+            chains = decompose(transitive_closure(g), ell).chains
+            assert chains
+            bound = sum(len(c) - 1 + shortcut_path(c).size_bound for c in chains)
+            assert 0 < hs.tag_counts["path_shortcut"] <= bound
 
     def test_soundness_and_target_sample(self):
         reached = 0
