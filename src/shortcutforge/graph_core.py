@@ -259,22 +259,25 @@ class Condensation:
     representatives: tuple[tuple[int, ...], ...]
 
 
-def _bool_square_fixpoint(mat: np.ndarray) -> np.ndarray:
-    # float32 matmul is exact here: inner products are counts <= n < 2^24.
-    cur = mat
-    while True:
-        nxt = (cur.astype(np.float32) @ cur.astype(np.float32)) > 0
-        if np.array_equal(nxt, cur):
-            return cur
-        cur = nxt
-
-
 def transitive_closure(g: Digraph) -> ReachabilityMatrix:
-    """Reachability by boolean repeated squaring of (A | I) to a fixpoint."""
-    m = g.adjacency.copy()
-    np.fill_diagonal(m, True)
-    bits = _bool_square_fixpoint(m)
-    bits = bits.copy()
+    """Reachability via the condensation, whose ids are topologically sorted.
+
+    Each component's row is a bitset of its own bit ORed with the finished
+    rows of its successors, last id first; vertices then take the rows of
+    their components.  Numpy byte ops only, no BLAS call, so no thread pool
+    is left running after the closure.
+    """
+    cond = condense(g)
+    k = cond.dag.n
+    ids = np.arange(k)
+    rows = np.zeros((k, -(-k // 8)), dtype=np.uint8)
+    rows[ids, ids >> 3] = 1 << (ids & 7)
+    succ = np.split(cond.dag.array[:, 1], np.searchsorted(cond.dag.array[:, 0], ids[1:]))
+    for c in range(k - 1, -1, -1):
+        if succ[c].size:
+            rows[c] |= np.bitwise_or.reduce(rows[succ[c]], axis=0)
+    comp = np.array(cond.component_of, dtype=np.int64)
+    bits = np.unpackbits(rows, axis=1, count=k, bitorder="little").view(bool)[comp][:, comp]
     bits.setflags(write=False)
     return ReachabilityMatrix(g.n, bits)
 

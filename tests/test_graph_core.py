@@ -130,6 +130,21 @@ class TestClosure:
             got = transitive_closure(g).bits
             assert np.array_equal(got, closure_oracle(g))
 
+    def test_row_byte_boundaries_against_dfs_oracle(self):
+        # Rows are bitsets packed 8 vertices to a byte: cover sizes on and
+        # around byte boundaries, DAGs and graphs with nontrivial SCCs.
+        rng = np.random.default_rng(103)
+        for n in (0, 1, 7, 8, 9, 33, 70):
+            for p in (0.0, 0.05, 0.3, 1.0):
+                upper = np.triu(rng.random((n, n)) < p, k=1)
+                order = rng.permutation(n)
+                dag = Digraph(n, order[np.argwhere(upper)])
+                back = order[np.argwhere(upper.T & (rng.random((n, n)) < 0.02))]
+                for g in (dag, Digraph(n, np.concatenate([dag.array, back]))):
+                    got = transitive_closure(g).bits
+                    assert got.dtype == bool and not got.flags.writeable
+                    assert np.array_equal(got, closure_oracle(g))
+
     def test_empty_and_single(self):
         assert transitive_closure(Digraph(1, [])).bits.tolist() == [[True]]
         g = Digraph(2, [(0, 1)])
