@@ -90,8 +90,8 @@ def _read_tagged(path: str) -> tuple[int, np.ndarray]:
     """Read files written by the shortcut/hopset subcommands.
 
     Rows are "u v tag" or "u v w tag"; the tag column is optional so plain
-    edge lists verify too.  Returns n and the (m, 2) or (m, 3) integer rows;
-    every row must have as many integer fields as the first.
+    edge lists verify too.  Returns n and the header's m rows as an (m, 2) or
+    (m, 3) int array; every row has as many integer fields as the first.
     """
     lines = _tokenize(Path(path).read_text())
     try:
@@ -100,7 +100,10 @@ def _read_tagged(path: str) -> tuple[int, np.ndarray]:
         raise ValueError("empty edge file") from None
     if len(header) < 2:
         raise ValueError(f"line {lineno}: header must start with 'n m'")
-    n = int(header[0])
+    try:
+        n, m = int(header[0]), int(header[1])
+    except ValueError:
+        raise ValueError(f"line {lineno}: non-integer header field") from None
     flat: list[int] = []
     width = 0
     for lineno, toks in lines:
@@ -118,7 +121,10 @@ def _read_tagged(path: str) -> tuple[int, np.ndarray]:
             raise ValueError(f"line {lineno}: expected {width} integers, as on the first row")
         width = len(ints)
         flat.extend(ints)
-    return n, np.array(flat, dtype=np.int64).reshape(-1, width or 2)
+    rows = np.array(flat, dtype=np.int64).reshape(-1, width or 2)
+    if len(rows) != m:
+        raise ValueError(f"header declares m={m} edges but file has {len(rows)}")
+    return n, rows
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:

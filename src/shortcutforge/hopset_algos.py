@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain, compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -102,10 +102,6 @@ class NicePathCollection:
     @property
     def hops(self) -> int:
         return self.beta // MIN_HOPBOUND
-
-    @property
-    def endpoints(self) -> tuple[tuple[int, int], ...]:
-        return tuple((p[0], p[-1]) for p in self.paths)
 
     def __len__(self) -> int:
         return len(self.paths)
@@ -210,25 +206,38 @@ def partition_subpaths(q: NicePathCollection, eps: Fraction | str) -> SubpathPar
 
 
 def geometric_ladder(
-    dist: DistanceMatrix, v: int, p: Sequence[int], eps: Fraction | str
-) -> tuple[tuple[int, int, int], ...]:
-    """Edges from v into p: the first reachable vertex, then each (1+eps) drop."""
+    dist: DistanceMatrix,
+    sources: Sequence[int],
+    subpaths: Sequence[Sequence[int]],
+    eps: Fraction | str,
+) -> np.ndarray:
+    """(k, 3) rows (v, u, dist(v, u)): each source's ladder into each subpath.
+
+    Scanning a subpath, v takes the first vertex u != v it reaches, then each
+    (1+eps) drop below the last rung.  One step per subpath position across
+    all (source, subpath) pairs; the drop test is exact, in Python ints where
+    int64 could overflow.  Rows are grouped by source, subpath, path order.
+    """
     frac = as_eps(eps)
     num, den = frac.numerator, frac.denominator
-    out: list[tuple[int, int, int]] = []
-    cur: int | None = None
-    for u in p:
-        u = int(u)
-        if u == v:
-            continue
-        d = dist.dist[v, u]
-        if not np.isfinite(d):
-            continue
-        d = int(d)
-        if cur is None or (den + num) * d < den * cur:
-            out.append((v, u, d))
-            cur = d
-    return tuple(out)
+    sources = np.asarray(sources, dtype=np.int64)
+    lens = np.fromiter(map(len, subpaths), np.int64, len(subpaths))
+    cols = np.full((len(lens), lens.max(initial=0)), -1, dtype=np.int64)  # -1 pads
+    cols[np.arange(cols.shape[1]) < lens[:, None]] = np.fromiter(chain(*subpaths), np.int64)
+    top = int(dist.dist[np.isfinite(dist.dist)].max(initial=1))
+    # the last rung's distance; 0 until the first, as u != v lie >= 1 apart
+    cur = np.zeros((len(sources), len(lens)), np.int64 if (den + num) * top < 2**63 else object)
+    hits = [np.empty((0, 4), dtype=np.int64)]
+    for u in cols.T:
+        d = dist.dist[np.ix_(sources, u)]
+        ok = (u >= 0) & (u != sources[:, None]) & np.isfinite(d)
+        d = np.where(ok, d, 0).astype(np.int64)
+        ok &= (cur == 0) | ((den + num) * d.astype(cur.dtype) < den * cur)
+        cur[ok] = d[ok]
+        s, p = np.nonzero(ok)
+        hits.append(np.column_stack([s, p, u[p], d[ok]]))
+    s, p, u, w = np.concatenate(hits).T
+    return np.column_stack([sources[s], u, w])[np.lexsort((p, s))]  # stable: path order kept
 
 
 def ladder_size_limit(n: int, max_weight: int, eps: Fraction) -> int:
@@ -271,23 +280,19 @@ def hopset_small_hop(
     paths, weights = _extract_nice_paths(dist, beta)
     q = NicePathCollection(paths, weights, beta)
 
-    rows: list[tuple[int, int, int, str]] = []
-    for verts in q.paths:
-        for a in verts:
-            for b in verts:
-                if a != b and np.isfinite(dist.dist[a, b]):
-                    rows.append((a, b, int(dist.dist[a, b]), "induced_closure"))
+    path_of = np.full(n, -1, dtype=np.int64)  # -1: on no nice path
+    path_of[np.fromiter(chain(*q.paths), np.int64)] = np.repeat(np.arange(len(q)), q.hops + 1)
+    same = (path_of[:, None] == path_of) & (path_of >= 0)[:, None] & np.isfinite(dist.dist)
+    np.fill_diagonal(same, False)
+    closure = np.column_stack([np.argwhere(same), dist.dist[same].astype(np.int64)])
 
     subpaths = partition_subpaths(q, half).flat()
     p_samp = min(1.0, c * math.log(n) / beta)
     v_mask = sample_mask(seed, SITE_VERTEX_SAMPLE, n, p_samp)
     s_mask = sample_mask(seed, SITE_GROUP_SAMPLE, len(subpaths), p_samp)
-    picked = [sp for sp, hit in zip(subpaths, s_mask) if hit]
-    for v in map(int, np.flatnonzero(v_mask)):
-        for sp in picked:
-            for src, tgt, wt in geometric_ladder(dist, v, sp, half):
-                rows.append((src, tgt, wt, "geometric_ladder"))
-    return HopsetEdges(n, rows, params)
+    ladders = geometric_ladder(dist, np.flatnonzero(v_mask), [*compress(subpaths, s_mask)], half)
+    rows = [tagged_rows(closure, "induced_closure"), tagged_rows(ladders, "geometric_ladder")]
+    return HopsetEdges(n, np.concatenate(rows), params)
 
 
 def hopset_large_hop(

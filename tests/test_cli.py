@@ -110,8 +110,10 @@ def test_verify_failure_exits_1(tmp_path):
         ("4\n", 2, "line 1: header must start with 'n m'"),
         ("4 1\n0 x 1\n", 2, "line 2: expected 'u v [w] [tag]'"),
         ("4 2\n0 1 tag\n1 2 5 tag\n", 2, "line 3: expected 2 integers, as on the first row"),
+        ("4 99\n0 1\n", 2, "header declares m=99 edges but file has 1"),
+        ("# c\n4 x\n0 1\n", 2, "line 2: non-integer header field"),
     ],
-    ids=["tags_optional", "empty", "header", "row", "mixed_widths"],
+    ids=["tags_optional", "empty", "header", "row", "mixed_widths", "count", "header_int"],
 )
 def test_verify_edge_file_reader(tmp_path, capsys, text, code, err):
     g = tmp_path / "g.txt"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from shortcutforge.generators import GenSpec, generate, subdivide
 from shortcutforge.graph_core import (
     MAX_VERTICES,
     Digraph,
@@ -21,6 +22,22 @@ from shortcutforge.graph_core import (
     unit_weights,
     weighted_closure,
 )
+
+
+def bounded_reachability_by_powers(g: Digraph, hops: int) -> np.ndarray:
+    """(A | I)^hops by binary exponentiation: the float32 BLAS kernel
+    bounded_reachability used before it became a hop-limited search."""
+    base = g.adjacency.copy()
+    np.fill_diagonal(base, True)
+    acc = np.eye(g.n, dtype=bool)
+    k = hops
+    while k:
+        if k & 1:
+            acc = (acc.astype(np.float32) @ base.astype(np.float32)) > 0
+        k >>= 1
+        if k:
+            base = (base.astype(np.float32) @ base.astype(np.float32)) > 0
+    return acc
 
 
 def closure_oracle(g: Digraph) -> np.ndarray:
@@ -168,6 +185,22 @@ class TestClosure:
                 got = bounded_reachability(g, r).bits
                 want = hops <= r
                 assert np.array_equal(got, want), f"radius {r}"
+
+    def test_bounded_reachability_matches_matrix_powers(self):
+        # DAGs with real hop depth, as the large-D route passes, and digraphs
+        # with cycles; hops from 0 to past the depth
+        graphs = [
+            subdivide(generate(GenSpec("random_dag", 60, p=0.08, seed=3)), 3)[0],
+            generate(GenSpec("grid_dag", 100, seed=0)),
+            random_digraph(40, 0.06, np.random.default_rng(5)),
+            Digraph(3, []),
+        ]
+        for g in graphs:
+            for r in range(0, 41):
+                want = bounded_reachability_by_powers(g, r)
+                assert np.array_equal(bounded_reachability(g, r).bits, want), (g, r)
+        with pytest.raises(ValueError, match="hop bound must be >= 0"):
+            bounded_reachability(graphs[0], -1)
 
     def test_bounded_reachability_monotone_in_radius(self):
         g = random_digraph(25, 0.08, np.random.default_rng(3))

@@ -2,20 +2,30 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from shortcutforge import hopset_algos
+from shortcutforge._seeds import SITE_GROUP_SAMPLE, SITE_VERTEX_SAMPLE, sample_mask
 from shortcutforge.graph_core import (
+    DistanceMatrix,
     WeightedDigraph,
     apsp,
     hop_limited_dist,
     unit_weights,
 )
 from shortcutforge.hopset_algos import (
+    MIN_HOPBOUND,
     HopsetEdges,
     HopsetParams,
+    NicePathCollection,
+    _extract_nice_paths,
     as_eps,
     build_hopset,
     geometric_ladder,
@@ -158,20 +168,25 @@ class TestPartition:
                 assert sum(ws[s:t]) * 4 <= total
 
 
+def ladder_rows(arr: np.ndarray) -> list[tuple[int, int, int]]:
+    assert arr.dtype == np.int64 and arr.shape[1:] == (3,)
+    return [tuple(r) for r in arr.tolist()]
+
+
 class TestLadder:
     def test_ladder_on_unit_path(self):
         g = unit_path(20)
         dist = apsp(g)
-        rungs = geometric_ladder(dist, 0, list(range(1, 20)), "1/2")
+        rungs = geometric_ladder(dist, [0], [list(range(1, 20))], "1/2")
         # first hit 1, then strict (3/2)-factor drops while scanning forward,
         # and distances only grow forward, so just the first vertex remains
-        assert rungs == ((0, 1, 1),)
+        assert ladder_rows(rungs) == [(0, 1, 1)]
 
     def test_reverse_order_probes_descend(self):
         g = unit_path(20)
         dist = apsp(g)
-        rungs = geometric_ladder(dist, 0, list(range(19, 0, -1)), "1/2")
-        dists = [w for _, _, w in rungs]
+        rungs = geometric_ladder(dist, [0], [list(range(19, 0, -1))], "1/2")
+        dists = rungs[:, 2].tolist()
         assert dists[0] == 19
         for a, b in zip(dists, dists[1:]):
             assert 3 * b < 2 * a
@@ -179,8 +194,12 @@ class TestLadder:
     def test_unreachable_vertices_skipped(self):
         g = WeightedDigraph(4, [(0, 1, 2)])
         dist = apsp(g)
-        assert geometric_ladder(dist, 0, [3, 2, 1], EPS14) == ((0, 1, 2),)
-        assert geometric_ladder(dist, 2, [0, 1, 3], EPS14) == ()
+        assert ladder_rows(geometric_ladder(dist, [0], [[3, 2, 1]], EPS14)) == [(0, 1, 2)]
+        assert ladder_rows(geometric_ladder(dist, [2], [[0, 1, 3]], EPS14)) == []
+        assert ladder_rows(geometric_ladder(dist, [0, 2], [[3, 2, 1], [0, 1, 3]], EPS14)) == [
+            (0, 1, 2),
+            (0, 1, 2),
+        ]
 
     def test_size_bound(self):
         for seed in range(5):
@@ -188,12 +207,42 @@ class TestLadder:
             dist = apsp(g)
             limit = ladder_size_limit(40, 12, EPS14)
             order = list(np.random.default_rng(seed).permutation(40))
-            for v in range(40):
-                assert len(geometric_ladder(dist, v, order, EPS14)) <= limit
+            rungs = geometric_ladder(dist, range(40), [order], EPS14)
+            counts = np.bincount(rungs[:, 0], minlength=40)
+            assert counts.any() and counts.max() <= limit
 
     def test_limit_matches_log(self):
         # ceil(log_1.25(2000)) = 35
         assert ladder_size_limit(100, 20, EPS14) == 35 + 1
+
+    def test_construction_ladders_within_limit(self, monkeypatch):
+        # every (source, subpath) ladder hopset_small_hop asks for stays
+        # within the bound for the eps/2 it runs with
+        calls = []
+        real = hopset_algos.geometric_ladder
+
+        def spy(dist, sources, subpaths, eps):
+            out = real(dist, sources, subpaths, eps)
+            calls.append((list(subpaths), eps, out))
+            return out
+
+        monkeypatch.setattr(hopset_algos, "geometric_ladder", spy)
+        longest = 0
+        for seed in range(6):
+            for n, beta, w_max in ((60, 12, 15), (80, 24, 10**6)):
+                g = random_weighted(n, 0.1, w_max, seed)
+                calls.clear()
+                hopset_small_hop(g, beta, EPS14, seed=seed)
+                assert len(calls) == 1
+                subpaths, eps, rungs = calls[0]
+                assert eps == EPS14 / 2
+                piece = {u: i for i, sp in enumerate(subpaths) for u in sp}
+                keys = [(v, piece[u]) for v, u, _ in rungs.tolist()]
+                sizes = np.unique(np.array(keys).reshape(-1, 2), axis=0, return_counts=True)[1]
+                limit = ladder_size_limit(n, g.max_weight, eps)
+                assert sizes.max(initial=0) <= limit
+                longest = max(longest, int(sizes.max(initial=0)))
+        assert longest >= 2
 
 
 class TestSmallHop:
@@ -301,3 +350,121 @@ class TestBuildHopset:
             names = {c.name: c.status for c in rep.checks}
             assert names["weight_exactness"] == "pass"
             assert names["lower_side_exact"] == "pass"
+
+
+# ---------------------------------------------------------------------------
+# Per-row references: the per-vertex ladder and the tuple-row small-hop
+# construction, kept verbatim from before both were batched.
+
+
+def _reference_ladder(
+    dist: DistanceMatrix, v: int, p: Sequence[int], eps: Fraction | str
+) -> tuple[tuple[int, int, int], ...]:
+    """Edges from v into p: the first reachable vertex, then each (1+eps) drop."""
+    frac = as_eps(eps)
+    num, den = frac.numerator, frac.denominator
+    out: list[tuple[int, int, int]] = []
+    cur: int | None = None
+    for u in p:
+        u = int(u)
+        if u == v:
+            continue
+        d = dist.dist[v, u]
+        if not np.isfinite(d):
+            continue
+        d = int(d)
+        if cur is None or (den + num) * d < den * cur:
+            out.append((v, u, d))
+            cur = d
+    return tuple(out)
+
+
+def _reference_small_hop(
+    g: WeightedDigraph,
+    beta: int,
+    eps: Fraction | str,
+    c: float = 3.0,
+    *,
+    seed: int,
+) -> HopsetEdges:
+    frac = as_eps(eps)
+    if beta < MIN_HOPBOUND:
+        raise ValueError(f"hop budget must be >= {MIN_HOPBOUND}, got {beta}")
+    params = HopsetParams(beta, frac, c, seed)
+    n = g.n
+    if n <= 1:
+        return HopsetEdges(n, (), params)
+
+    half = frac / 2
+    dist = apsp(g)
+    paths, weights = _extract_nice_paths(dist, beta)
+    q = NicePathCollection(paths, weights, beta)
+
+    rows: list[tuple[int, int, int, str]] = []
+    for verts in q.paths:
+        for a in verts:
+            for b in verts:
+                if a != b and np.isfinite(dist.dist[a, b]):
+                    rows.append((a, b, int(dist.dist[a, b]), "induced_closure"))
+
+    subpaths = partition_subpaths(q, half).flat()
+    p_samp = min(1.0, c * math.log(n) / beta)
+    v_mask = sample_mask(seed, SITE_VERTEX_SAMPLE, n, p_samp)
+    s_mask = sample_mask(seed, SITE_GROUP_SAMPLE, len(subpaths), p_samp)
+    picked = [sp for sp, hit in zip(subpaths, s_mask) if hit]
+    for v in map(int, np.flatnonzero(v_mask)):
+        for sp in picked:
+            for src, tgt, wt in _reference_ladder(dist, v, sp, half):
+                rows.append((src, tgt, wt, "geometric_ladder"))
+    return HopsetEdges(n, rows, params)
+
+
+# eps = 1/2^61 with weights up to 10^6 puts (1+eps)*dist past 2^63, and
+# 1/2^64 has a denominator past it.
+EPS_CHOICES = st.sampled_from(
+    [
+        Fraction(1, 2),
+        EPS14,
+        Fraction(3, 7),
+        Fraction(1, 2**61),
+        Fraction(2**61 - 1, 2**61),
+        Fraction(1, 2**64),
+    ]
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=30),
+    p=st.floats(min_value=0.02, max_value=0.4),
+    w_max=st.sampled_from([1, 9, 10**6]),
+    beta=st.sampled_from([12, 24, 36]),
+    eps=EPS_CHOICES,
+    c=st.sampled_from([1.0, 3.0]),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_small_hop_matches_per_row_reference(n, p, w_max, beta, eps, c, seed):
+    g = random_weighted(n, p, w_max, seed)
+    got = hopset_small_hop(g, beta, eps, c, seed=seed)
+    want = _reference_small_hop(g, beta, eps, c, seed=seed)
+    assert got.tagged == want.tagged
+    assert got == want
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=30),
+    p=st.floats(min_value=0.0, max_value=0.5),
+    w_max=st.sampled_from([1, 9, 10**6]),
+    eps=EPS_CHOICES,
+    seed=st.integers(min_value=0, max_value=10**6),
+    data=st.data(),
+)
+def test_ladder_matches_per_vertex_reference(n, p, w_max, eps, seed, data):
+    dist = apsp(random_weighted(n, p, w_max, seed))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    sources = data.draw(st.lists(vertex, max_size=8))
+    subpaths = data.draw(st.lists(st.lists(vertex, min_size=1, max_size=6), max_size=6))
+    got = geometric_ladder(dist, sources, subpaths, eps)
+    want = [row for v in sources for sp in subpaths for row in _reference_ladder(dist, v, sp, eps)]
+    assert ladder_rows(got) == want
