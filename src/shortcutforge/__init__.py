@@ -23,6 +23,7 @@ from .graph_core import (
     load_edge_list,
     scc_star_edges,
     transitive_closure,
+    transitive_reduction,
     unit_weights,
     weighted_closure,
 )
@@ -59,7 +60,6 @@ from .shortcut_algos import (
     shortcut_small_diam,
     small_diam_limit,
     tc_spanner,
-    transitive_reduction,
 )
 
 __all__ = [
@@ -82,6 +82,7 @@ __all__ = [
     "load_edge_list",
     "scc_star_edges",
     "transitive_closure",
+    "transitive_reduction",
     "unit_weights",
     "weighted_closure",
     "HopsetEdges",
@@ -113,5 +114,4 @@ __all__ = [
     "shortcut_small_diam",
     "small_diam_limit",
     "tc_spanner",
-    "transitive_reduction",
 ]

@@ -13,9 +13,9 @@ smallest-id vertex on the top level, taking the smallest-id predecessor one
 level down at each step; the residue's levels are its antichains.
 
 Callers that want chains of the reachability order rather than of the raw
-edge set pass the closure itself as a ReachabilityMatrix, whose off-diagonal
-bits then serve as the edges; antichain independence is always relative to
-the edges of whatever was passed.
+edge set pass the closure itself as a ReachabilityMatrix; its rows, unpacked
+with the diagonal cleared, then serve as the edges.  Antichain independence
+is always relative to the edges of whatever was passed.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def decompose(dag: Digraph | ReachabilityMatrix, ell: int) -> ChainDecomposition
         raise ValueError(f"ell={ell} outside [1, n={n}]")
     if isinstance(dag, ReachabilityMatrix):
         check_acyclic(dag)
-        adj = dag.bits.copy()
+        adj = dag.rows()
         np.fill_diagonal(adj, False)
     else:
         check_acyclic(transitive_closure(dag))

@@ -10,7 +10,9 @@ Edge storage is decided here alone: Digraph, WeightedDigraph and TaggedEdges
 each hold one read-only int64 ``array`` sorted by (u, v), of shape (m, 2) or
 (m, 3) with the weight last; TaggedEdges adds ``codes``, indices into TAGS.
 ``edges`` (a frozenset of tuples) and ``tagged`` (row tuples ending in the tag
-name) are views built on first access; kernels read the arrays.
+name) are views built on first access; kernels read the arrays.  The bit
+layout of a ReachabilityMatrix is also decided here alone; other modules read
+it through rows() and has().
 """
 
 from __future__ import annotations
@@ -226,13 +228,38 @@ class TaggedEdges(_EdgeArray):
 
 @dataclass(frozen=True, eq=False)
 class ReachabilityMatrix:
-    """bits[u][v] = u reaches v; reflexive by convention (bits[u][u] true)."""
+    """Reachability as packed rows: u reaches v iff bit row_of[v] of packed[row_of[u]].
+
+    ``packed``: read-only uint8, one row per condensation component and one
+    bit per row, little-endian; ``row_of``: each vertex's row.  Reflexive by
+    convention.  Vertices of one SCC share a row, so a closure is acyclic iff
+    no two vertices do.
+    """
 
     n: int
-    bits: np.ndarray
+    packed: np.ndarray
+    row_of: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.packed.setflags(write=False)
+        self.row_of.setflags(write=False)
+
+    def rows(self, vertices: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """New C-contiguous bool array: row i says which vertices vertices[i] reaches."""
+        bits = np.unpackbits(
+            self.packed[self.row_of[vertices]], axis=1, count=len(self.packed), bitorder="little"
+        ).view(bool)
+        return np.take(bits, self.row_of, axis=1)
 
     def has(self, u: int, v: int) -> bool:
-        return bool(self.bits[u, v])
+        col = int(self.row_of[v])
+        return bool(self.packed[self.row_of[u], col >> 3] >> (col & 7) & 1)
+
+
+def packed_reachability(bits: np.ndarray) -> ReachabilityMatrix:
+    """A square bool reachability matrix as packed rows, one per vertex."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return ReachabilityMatrix(len(bits), packed, np.arange(len(bits)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,35 +282,37 @@ class Condensation:
 def transitive_closure(g: Digraph) -> ReachabilityMatrix:
     """Reachability via the condensation, whose ids are topologically sorted.
 
-    Each component's row is a bitset of its own bit ORed with the finished
-    rows of its successors, last id first; vertices then take the rows of
-    their components.  Numpy byte ops only, no BLAS call, so no thread pool
-    is left running after the closure.
+    When every edge runs from a smaller id to a larger one the ids already
+    are such an order and each vertex is its own component, so no SCC pass
+    runs.  Each component's row is its own bit ORed with the finished rows
+    of its successors, last id first; numpy byte ops only, no BLAS call, and
+    no n x n matrix is built.
     """
-    cond = condense(g)
-    k = cond.dag.n
+    if (g.array[:, 0] < g.array[:, 1]).all():
+        dag, row_of = g, np.arange(g.n)
+    else:
+        cond = condense(g)
+        dag, row_of = cond.dag, np.array(cond.component_of, dtype=np.int64)
+    k = dag.n
     ids = np.arange(k)
     rows = np.zeros((k, -(-k // 8)), dtype=np.uint8)
     rows[ids, ids >> 3] = 1 << (ids & 7)
-    succ = np.split(cond.dag.array[:, 1], np.searchsorted(cond.dag.array[:, 0], ids[1:]))
+    succ = np.split(dag.array[:, 1], np.searchsorted(dag.array[:, 0], ids[1:]))
     for c in range(k - 1, -1, -1):
         if succ[c].size:
             rows[c] |= np.bitwise_or.reduce(rows[succ[c]], axis=0)
-    comp = np.array(cond.component_of, dtype=np.int64)
-    bits = np.unpackbits(rows, axis=1, count=k, bitorder="little").view(bool)[comp][:, comp]
-    bits.setflags(write=False)
-    return ReachabilityMatrix(g.n, bits)
+    return ReachabilityMatrix(g.n, rows, row_of)
 
 
 def closure_digraph(reach: ReachabilityMatrix) -> Digraph:
     """The closure as a plain digraph (off-diagonal reachable pairs)."""
-    mask = reach.bits.copy()
+    mask = reach.rows()
     np.fill_diagonal(mask, False)
     return Digraph(reach.n, np.argwhere(mask))
 
 
 def bounded_reachability(g: Digraph, hops: int) -> ReachabilityMatrix:
-    """Pairs joined by a path of at most ``hops`` edges.
+    """Pairs joined by a path of at most ``hops`` edges, one packed row per vertex.
 
     One hop-limited breadth-first search per source in scipy's C code; no
     BLAS call, so no thread pool is left running.
@@ -291,26 +320,47 @@ def bounded_reachability(g: Digraph, hops: int) -> ReachabilityMatrix:
     if hops < 0:
         raise ValueError("hop bound must be >= 0")
     adj = csr_matrix((np.ones(g.m), (g.array[:, 0], g.array[:, 1])), shape=(g.n, g.n))
-    bits = np.isfinite(csgraph.dijkstra(adj, unweighted=True, limit=hops))
-    bits.setflags(write=False)
-    return ReachabilityMatrix(g.n, bits)
+    return packed_reachability(np.isfinite(csgraph.dijkstra(adj, unweighted=True, limit=hops)))
 
 
 def check_acyclic(reach: ReachabilityMatrix) -> None:
-    """Raise ValueError naming two vertices that reach each other, if any."""
-    both = reach.bits & reach.bits.T
-    np.fill_diagonal(both, False)
-    if both.any():
-        u, v = map(int, np.argwhere(both)[0])
+    """Raise ValueError naming two vertices of one SCC, if a closure has any.
+
+    The pair is the smallest vertex that shares its row and the next vertex
+    on that row.  Reads only ``row_of``, so ``reach`` must be a closure.
+    """
+    row_of = reach.row_of
+    shared = np.flatnonzero(np.bincount(row_of, minlength=len(reach.packed))[row_of] > 1)
+    if shared.size:
+        u = int(shared[0])
+        v = int(shared[row_of[shared] == row_of[u]][1])
         raise ValueError(f"input must be acyclic; {u} and {v} lie on a cycle")
 
 
 def is_acyclic(g: Digraph) -> bool:
-    try:
-        check_acyclic(transitive_closure(g))
-    except ValueError:
-        return False
-    return True
+    return condense(g).dag.n == g.n
+
+
+def transitive_reduction(dag: Digraph) -> Digraph:
+    """Unique minimal subgraph of a DAG with the same closure.
+
+    An edge (u, v) survives iff no other successor of u reaches v.  Each
+    vertex's detour row is the OR of its successors' packed closure rows,
+    each without its own bit; an edge survives iff its bit there is clear.
+    """
+    closure = transitive_closure(dag)
+    check_acyclic(closure)
+    col = closure.row_of  # acyclic: one row, and one bit, per vertex
+    ids = np.arange(dag.n)
+    strict = closure.packed[col]
+    strict[ids, col >> 3] ^= np.left_shift(1, col & 7).astype(np.uint8)
+    detour = np.zeros_like(strict)
+    u, v = dag.array.T
+    for x, succ in enumerate(np.split(v, np.searchsorted(u, ids[1:]))):
+        if succ.size:
+            detour[x] = np.bitwise_or.reduce(strict[succ], axis=0)
+    hit = detour[u, col[v] >> 3] >> (col[v] & 7) & 1
+    return Digraph(dag.n, dag.array[hit == 0])
 
 
 def condense(g: Digraph) -> Condensation:

@@ -25,12 +25,13 @@ from .graph_core import (
     ReachabilityMatrix,
     TaggedEdges,
     bounded_reachability,
-    check_acyclic,
     closure_digraph,
     condense,
+    packed_reachability,
     scc_star_edges,
     tagged_rows,
     transitive_closure,
+    transitive_reduction,
 )
 from .line_shortcut import shortcut_path
 
@@ -58,10 +59,10 @@ def folklore(g: Digraph, d: int, c: float = 3.0, *, seed: int) -> ShortcutSet:
     if g.n <= 1:
         return ShortcutSet(g.n, (), params)
     p = min(1.0, c * math.log(g.n) / d)
-    mask = sample_mask(seed, SITE_VERTEX_SAMPLE, g.n, p)
-    bits = transitive_closure(g).bits & np.outer(mask, mask)
+    sampled = np.flatnonzero(sample_mask(seed, SITE_VERTEX_SAMPLE, g.n, p))
+    bits = transitive_closure(g).rows(sampled)[:, sampled]
     np.fill_diagonal(bits, False)
-    return ShortcutSet(g.n, tagged_rows(np.argwhere(bits), "baseline"), params)
+    return ShortcutSet(g.n, tagged_rows(sampled[np.argwhere(bits)], "baseline"), params)
 
 
 def first_incoming_edge(
@@ -75,7 +76,7 @@ def first_incoming_edge(
     position.  A (source, chain) pair with no such vertex gives no row.
     """
     sources = np.asarray(sources, dtype=np.int64)
-    reach = closure.bits[sources]
+    reach = closure.rows(sources)
     reach[np.arange(len(sources)), sources] = False
     hits = [np.empty((0, 2), dtype=np.int64)]
     for chain in chains:
@@ -156,8 +157,8 @@ def shortcut_large_d(
     r = max(1, floor_root(d**3 // n, 2))
     while r * r * n < d**3:
         r += 1
-    within = bounded_reachability(g, r).bits[np.ix_(sampled, sampled)]
-    sub = closure_digraph(ReachabilityMatrix(n_sub, within))
+    within = bounded_reachability(g, r).rows(sampled)[:, sampled]
+    sub = closure_digraph(packed_reachability(within))
 
     d_sub = max(3, int(n_sub ** (1.0 / 3.0) / math.log(n)))
     inner = shortcut_small_diam(sub, d_sub, c, seed=child_seed(seed))
@@ -196,21 +197,6 @@ def build_shortcuts(
     return ShortcutSet(g.n, np.concatenate(parts), params)
 
 
-def transitive_reduction(dag: Digraph) -> Digraph:
-    """Unique minimal subgraph of a DAG with the same closure.
-
-    An edge survives iff the closure offers no 2-hop detour between its
-    endpoints.
-    """
-    closure = transitive_closure(dag)
-    check_acyclic(closure)
-    direct = closure.bits.copy()
-    np.fill_diagonal(direct, False)
-    detour = (direct.astype(np.float32) @ direct.astype(np.float32)) > 0
-    keep = direct & ~detour
-    return Digraph(dag.n, np.argwhere(keep))
-
-
 def _tc_spanner_parts(
     g: Digraph, k: int, c: float, seed: int
 ) -> tuple[Digraph, ShortcutSet]:
@@ -226,9 +212,7 @@ def _tc_spanner_parts(
     return base, build_shortcuts(base, k, c, seed=seed)
 
 
-def tc_spanner(
-    g: Digraph, k: int, c: float = 3.0, *, seed: int
-) -> frozenset[tuple[int, int]]:
+def tc_spanner(g: Digraph, k: int, c: float = 3.0, *, seed: int) -> Digraph:
     """Reachability-preserving subgraph of the closure with hop bound k.
 
     Per-SCC cycle covers plus the condensation's transitive reduction form
@@ -237,4 +221,4 @@ def tc_spanner(
     cycles may take up to k + 2, one representative-star hop at each end.
     """
     base, h = _tc_spanner_parts(g, k, c, seed)
-    return frozenset(base.edges | h.edges)
+    return Digraph(g.n, np.concatenate([base.array, h.array]))

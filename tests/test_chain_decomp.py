@@ -158,7 +158,7 @@ def reference_decompose(dag: Digraph | ReachabilityMatrix, ell: int) -> ChainDec
         raise ValueError(f"ell={ell} outside [1, n={n}]")
     if isinstance(dag, ReachabilityMatrix):
         closure = dag
-        adj_full = closure.bits.copy()
+        adj_full = closure.rows()
         np.fill_diagonal(adj_full, False)
     else:
         closure = transitive_closure(dag)
@@ -166,7 +166,7 @@ def reference_decompose(dag: Digraph | ReachabilityMatrix, ell: int) -> ChainDec
     check_acyclic(closure)
 
     threshold = -(-2 * n // ell)
-    anc = closure.bits.sum(axis=0)
+    anc = closure.rows().sum(axis=0)
     alive = np.ones(n, dtype=bool)
     chains: list[tuple[int, ...]] = []
 

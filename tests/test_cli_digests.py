@@ -41,6 +41,22 @@ STEPS = (
                            "--mode", "hopset", "--beta", "12", "--eps", "1/4")),
     ("verify_hopset.json", ("verify", "--graph", "w.txt", "--edges", "hopset.txt",
                             "--mode", "hopset", "--beta", "12", "--eps", "1/4")),
+    # Forward ids: every edge runs from a smaller id to a larger one, so the
+    # ids are already a topological order, though not the one Tarjan assigns.
+    ("grid.txt", ("gen", "--family", "grid_dag", "--n", "400", "--seed", "0")),
+    ("layered.txt", ("gen", "--family", "layered", "--n", "300", "--p", "0.1",
+                     "--seed", "2")),
+    ("grid_small.txt", ("shortcut", "--input", "grid.txt", "--diameter", "4",
+                        "--seed", "1", "--mode", "small")),
+    ("grid_large.txt", ("shortcut", "--input", "grid.txt", "--diameter", "20",
+                        "--seed", "1", "--mode", "large")),
+    ("grid_closure.out", ("decomp", "--input", "grid.txt", "--ell", "8", "--closure")),
+    ("layered_small.txt", ("shortcut", "--input", "layered.txt", "--diameter", "4",
+                           "--seed", "1", "--mode", "small")),
+    ("layered_large.txt", ("shortcut", "--input", "layered.txt", "--diameter", "20",
+                           "--seed", "1", "--mode", "large")),
+    ("layered_closure.out", ("decomp", "--input", "layered.txt", "--ell", "8",
+                             "--closure")),
 )
 
 # Steps that fail verification, with a witness; every other step exits 0.
@@ -65,6 +81,14 @@ EXPECTED = {
     "verify_small_d1.out": "022bb19a65194cdc9890380e0b6b4b180c3a941711706b5dceb19aa9bbe170e6",
     "verify_hopset.out": "253cdd4685c0ca1bb28276e5df27b6f5d81d61b9595ba079a4c107418f49119d",
     "verify_hopset.json": "d3f18e9db4b1ba2fce14ed8f97bbd9fab36785b5723deae957b0906e1c5a623e",
+    "grid.txt": "5e6d8d3a049f61a81963785dbd753f67941322f4eeee82e29793d456c670fc5d",
+    "layered.txt": "3b4e798a8e454fd9e7941ec76ccd97d36eba35f01b71ad2a1465aba2d39255d1",
+    "grid_small.txt": "3af935f3eb4b7017a54f183e9f97eda47a14abea379dbd4ddc312955ac7e8c92",
+    "grid_large.txt": "90740e9de648d74d3a8cca992ff6e69d64f9f8b68b4bfd17548a6522433914d0",
+    "grid_closure.out": "f71d4e31bfbd4eaf5127a38ecb7447ed55a49fb76c3d34c182667d5d1692a423",
+    "layered_small.txt": "d6ea1f9f76f2eef78085c014bea4f1f0995361b278b15a89fad1449dea37433f",
+    "layered_large.txt": "712b5bb4b82185a675cf0def3b2b24a190b09160f31dc8bc5386d72967746a38",
+    "layered_closure.out": "097ddb4ecdb1032def27b67b9312fdb2ec7d244d77f101fbca7b5489e5d64850",
 }
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from shortcutforge import graph_core
 from shortcutforge.generators import GenSpec, generate, subdivide
 from shortcutforge.graph_core import (
     MAX_VERTICES,
@@ -12,6 +13,7 @@ from shortcutforge.graph_core import (
     WeightedDigraph,
     apsp,
     bounded_reachability,
+    check_acyclic,
     condense,
     dump_edge_list,
     hop_limited_dist,
@@ -38,6 +40,24 @@ def bounded_reachability_by_powers(g: Digraph, hops: int) -> np.ndarray:
         if k:
             base = (base.astype(np.float32) @ base.astype(np.float32)) > 0
     return acc
+
+
+def check_acyclic_by_bits(bits: np.ndarray) -> None:
+    """check_acyclic before the closure kept packed rows: a scan of the
+    unpacked n x n matrix ANDed with its transpose."""
+    both = bits & bits.T
+    np.fill_diagonal(both, False)
+    if both.any():
+        u, v = map(int, np.argwhere(both)[0])
+        raise ValueError(f"input must be acyclic; {u} and {v} lie on a cycle")
+
+
+def cycle_message(check, arg) -> str | None:
+    try:
+        check(arg)
+    except ValueError as err:
+        return str(err)
+    return None
 
 
 def closure_oracle(g: Digraph) -> np.ndarray:
@@ -144,7 +164,7 @@ class TestClosure:
         rng = np.random.default_rng(101)
         for _ in range(50):
             g = random_digraph(32, float(rng.uniform(0.02, 0.3)), rng)
-            got = transitive_closure(g).bits
+            got = transitive_closure(g).rows()
             assert np.array_equal(got, closure_oracle(g))
 
     def test_row_byte_boundaries_against_dfs_oracle(self):
@@ -158,12 +178,76 @@ class TestClosure:
                 dag = Digraph(n, order[np.argwhere(upper)])
                 back = order[np.argwhere(upper.T & (rng.random((n, n)) < 0.02))]
                 for g in (dag, Digraph(n, np.concatenate([dag.array, back]))):
-                    got = transitive_closure(g).bits
-                    assert got.dtype == bool and not got.flags.writeable
+                    reach = transitive_closure(g)
+                    assert reach.packed.dtype == np.uint8 and not reach.packed.flags.writeable
+                    got = reach.rows()
+                    assert got.dtype == bool and got.flags.c_contiguous
                     assert np.array_equal(got, closure_oracle(g))
 
+    def test_rows_and_has_against_dfs_oracle(self):
+        # Vertex subsets in any order, repeats included; each call a new
+        # C-contiguous array the caller may write to.
+        rng = np.random.default_rng(107)
+        for _ in range(30):
+            n = int(rng.integers(1, 40))
+            g = random_digraph(n, float(rng.uniform(0.0, 0.2)), rng)
+            want = closure_oracle(g)
+            reach = transitive_closure(g)
+            for vs in (rng.permutation(n), rng.integers(0, n, size=7), np.array([], int)):
+                got = reach.rows(vs)
+                assert got.flags.c_contiguous and got.flags.writeable
+                assert np.array_equal(got, want[vs])
+            got[...] = False
+            assert np.array_equal(reach.rows(), want)
+            for u in range(n):
+                for v in range(n):
+                    assert reach.has(u, v) == want[u, v]
+
+    def test_forward_ids_skip_condense(self, monkeypatch):
+        # Every edge runs from a smaller id to a larger one: the ids already
+        # are a topological order, so no SCC pass may run.
+        def refuse(g):
+            raise AssertionError("condense called on a forward-id graph")
+
+        rng = np.random.default_rng(109)
+        graphs = [
+            Digraph(n, np.argwhere(np.triu(rng.random((n, n)) < 0.1, k=1)))
+            for n in (0, 1, 9, 40)
+        ]
+        graphs += [generate(GenSpec("grid_dag", 100)), generate(GenSpec("path", 17))]
+        wants = [closure_oracle(g) for g in graphs]
+        monkeypatch.setattr(graph_core, "condense", refuse)
+        for g, want in zip(graphs, wants):
+            reach = transitive_closure(g)
+            assert np.array_equal(reach.row_of, np.arange(g.n))
+            assert np.array_equal(reach.rows(), want)
+        with pytest.raises(AssertionError, match="forward-id"):
+            transitive_closure(Digraph(2, [(1, 0)]))
+
+    def test_cycle_witness_matches_matrix_scan(self):
+        # Several SCCs, on permuted ids: the packed check names the same
+        # pair as the scan of bits & bits.T it replaced.
+        rng = np.random.default_rng(113)
+        named = 0
+        for _ in range(60):
+            n = int(rng.integers(1, 48))
+            g = random_digraph(n, float(rng.uniform(0.0, 0.12)), rng)
+            want = cycle_message(check_acyclic_by_bits, closure_oracle(g))
+            assert cycle_message(check_acyclic, transitive_closure(g)) == want
+            assert is_acyclic(g) == (want is None)
+            named += want is not None
+        assert named > 20
+
+    def test_is_acyclic_builds_no_closure(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("closure built")
+
+        monkeypatch.setattr(graph_core, "transitive_closure", refuse)
+        assert is_acyclic(generate(GenSpec("random_dag", 50, p=0.2, seed=1)))
+        assert not is_acyclic(Digraph(3, [(0, 1), (1, 2), (2, 0)]))
+
     def test_empty_and_single(self):
-        assert transitive_closure(Digraph(1, [])).bits.tolist() == [[True]]
+        assert transitive_closure(Digraph(1, [])).rows().tolist() == [[True]]
         g = Digraph(2, [(0, 1)])
         assert transitive_closure(g).has(0, 1)
         assert not transitive_closure(g).has(1, 0)
@@ -171,9 +255,9 @@ class TestClosure:
     def test_idempotent(self):
         rng = np.random.default_rng(7)
         g = random_digraph(24, 0.1, rng)
-        bits = transitive_closure(g).bits
+        bits = transitive_closure(g).rows()
         pairs = [(int(u), int(v)) for u, v in np.argwhere(bits) if u != v]
-        again = transitive_closure(Digraph(g.n, pairs)).bits
+        again = transitive_closure(Digraph(g.n, pairs)).rows()
         assert np.array_equal(bits, again)
 
     def test_bounded_reachability_matches_bfs_levels(self):
@@ -182,7 +266,7 @@ class TestClosure:
             g = random_digraph(20, 0.12, rng)
             hops = hop_limited_dist(unit_weights(g), g.n).dist
             for r in (1, 2, 3, 7):
-                got = bounded_reachability(g, r).bits
+                got = bounded_reachability(g, r).rows()
                 want = hops <= r
                 assert np.array_equal(got, want), f"radius {r}"
 
@@ -198,15 +282,15 @@ class TestClosure:
         for g in graphs:
             for r in range(0, 41):
                 want = bounded_reachability_by_powers(g, r)
-                assert np.array_equal(bounded_reachability(g, r).bits, want), (g, r)
+                assert np.array_equal(bounded_reachability(g, r).rows(), want), (g, r)
         with pytest.raises(ValueError, match="hop bound must be >= 0"):
             bounded_reachability(graphs[0], -1)
 
     def test_bounded_reachability_monotone_in_radius(self):
         g = random_digraph(25, 0.08, np.random.default_rng(3))
-        prev = bounded_reachability(g, 1).bits
+        prev = bounded_reachability(g, 1).rows()
         for r in (2, 4, 9):
-            cur = bounded_reachability(g, r).bits
+            cur = bounded_reachability(g, r).rows()
             assert (prev <= cur).all()
             prev = cur
 

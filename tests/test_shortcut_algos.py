@@ -10,10 +10,12 @@ from shortcutforge.generators import GenSpec, generate
 from shortcutforge.line_shortcut import shortcut_path
 from shortcutforge.graph_core import (
     Digraph,
+    check_acyclic,
     closure_digraph,
     condense,
     hop_limited_dist,
     transitive_closure,
+    transitive_reduction,
     unit_weights,
 )
 from shortcutforge.shortcut_algos import (
@@ -26,7 +28,6 @@ from shortcutforge.shortcut_algos import (
     shortcut_small_diam,
     small_diam_limit,
     tc_spanner,
-    transitive_reduction,
 )
 
 
@@ -53,8 +54,20 @@ def hop_diameter(g: Digraph, extra) -> int:
     return int(hops[finite].max()) if finite.any() else 0
 
 
+def transitive_reduction_by_product(dag: Digraph) -> Digraph:
+    """transitive_reduction before it ORed packed rows: 2-hop detours from a
+    float32 BLAS product of the strict closure with itself."""
+    closure = transitive_closure(dag)
+    check_acyclic(closure)
+    direct = closure.rows()
+    np.fill_diagonal(direct, False)
+    detour = (direct.astype(np.float32) @ direct.astype(np.float32)) > 0
+    keep = direct & ~detour
+    return Digraph(dag.n, np.argwhere(keep))
+
+
 def closure_pairs(g: Digraph) -> set[tuple[int, int]]:
-    bits = transitive_closure(g).bits.copy()
+    bits = transitive_closure(g).rows()
     np.fill_diagonal(bits, False)
     return {(int(u), int(v)) for u, v in np.argwhere(bits)}
 
@@ -247,9 +260,9 @@ class TestBuildShortcuts:
         g = Digraph(31, edges)
         hs = build_shortcuts(g, 3, 3.0, seed=44)
         assert hs.tag_counts["lifted"] > 0
-        base = transitive_closure(g).bits
+        base = transitive_closure(g).rows()
         union = Digraph(g.n, set(g.edges) | set(hs.edges))
-        assert np.array_equal(transitive_closure(union).bits, base)
+        assert np.array_equal(transitive_closure(union).rows(), base)
         # every new pair must already be reachable
         assert hs.edges <= closure_pairs(g)
 
@@ -270,7 +283,7 @@ class TestBuildShortcuts:
         hs = build_shortcuts(g, 3, seed=5, mode="small")
         assert len(hs) <= len(h_plus) + 2 * (g.n - cond.dag.n)
         union = Digraph(g.n, set(g.edges) | set(hs.edges))
-        assert np.array_equal(transitive_closure(union).bits, transitive_closure(g).bits)
+        assert np.array_equal(transitive_closure(union).rows(), transitive_closure(g).rows())
         assert hop_diameter(g, hs.edges) <= 3 * hop_diameter(cond.dag, h_plus.edges) + 4
 
     def test_rejects_tiny_diameter_and_bad_mode(self):
@@ -298,6 +311,26 @@ class TestTransitiveReduction:
         red = transitive_reduction(g)
         assert red.edges == frozenset((i, i + 1) for i in range(n - 1))
 
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65])
+    def test_matches_float32_product(self, n):
+        # Packed rows cross byte boundaries at 8 and 64; permuted ids and
+        # forward ids, sparse to dense.
+        for seed, p in enumerate((0.05, 0.2, 0.6, 1.0)):
+            g = random_dag(n, p, seed=100 * n + seed)
+            forward = Digraph(n, np.sort(g.array, axis=1))
+            for dag in (g, forward):
+                assert transitive_reduction(dag) == transitive_reduction_by_product(dag)
+
+    def test_random_dags_match_float32_product(self):
+        rng = np.random.default_rng(17)
+        for seed in range(40):
+            dag = random_dag(int(rng.integers(2, 90)), float(rng.uniform(0, 0.4)), seed=seed)
+            assert transitive_reduction(dag) == transitive_reduction_by_product(dag)
+
+    def test_rejects_cycle(self):
+        with pytest.raises(ValueError, match="1 and 2 lie on a cycle"):
+            transitive_reduction(Digraph(4, [(0, 1), (1, 2), (2, 1), (2, 3)]))
+
     def test_preserves_closure(self):
         g = random_dag(40, 0.15, seed=4)
         red = transitive_reduction(g)
@@ -308,8 +341,8 @@ class TestTransitiveReduction:
 class TestTcSpanner:
     def test_path_within_k(self):
         g = path_graph(33)
-        edges = tc_spanner(g, 4, 3.0, seed=2)
-        union = Digraph(g.n, edges)
+        union = tc_spanner(g, 4, 3.0, seed=2)
+        assert isinstance(union, Digraph) and union.n == g.n
         hops = hop_limited_dist(unit_weights(union), g.n).dist
         for u, v in closure_pairs(g):
             assert hops[u, v] <= 4
@@ -317,18 +350,16 @@ class TestTcSpanner:
     def test_complete_order_reduction_is_hamiltonian(self):
         n = 16
         g = Digraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-        edges = tc_spanner(g, 3, 3.0, seed=6)
+        union = tc_spanner(g, 3, 3.0, seed=6)
         ham = {(i, i + 1) for i in range(n - 1)}
-        assert ham <= edges
-        union = Digraph(n, edges)
+        assert ham <= union.edges
         hops = hop_limited_dist(unit_weights(union), n).dist
         for u, v in closure_pairs(g):
             assert hops[u, v] <= 3
 
     def test_random_dag_closure_equality_and_hops(self):
         g = random_dag(128, 0.06, seed=8)
-        edges = tc_spanner(g, 5, 3.0, seed=8)
-        union = Digraph(g.n, edges)
+        union = tc_spanner(g, 5, 3.0, seed=8)
         assert closure_pairs(union) == closure_pairs(g)
         hops = hop_limited_dist(unit_weights(union), g.n).dist
         worst = max(hops[u, v] for u, v in closure_pairs(g))
@@ -344,8 +375,7 @@ class TestTcSpanner:
             if i + 1 < rings:
                 edges.append((base + 2, base + 5))
         g = Digraph(4 * rings, edges)
-        spanner = tc_spanner(g, k, 3.0, seed=5)
-        union = Digraph(g.n, spanner)
+        union = tc_spanner(g, k, 3.0, seed=5)
         assert closure_pairs(union) == closure_pairs(g)
         hops = hop_limited_dist(unit_weights(union), g.n).dist
         for u, v in closure_pairs(g):
