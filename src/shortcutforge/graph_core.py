@@ -288,7 +288,7 @@ def transitive_closure(g: Digraph) -> ReachabilityMatrix:
     of its successors, last id first; numpy byte ops only, no BLAS call, and
     no n x n matrix is built.
     """
-    if (g.array[:, 0] < g.array[:, 1]).all():
+    if _forward_ids(g):
         dag, row_of = g, np.arange(g.n)
     else:
         cond = condense(g)
@@ -337,8 +337,14 @@ def check_acyclic(reach: ReachabilityMatrix) -> None:
         raise ValueError(f"input must be acyclic; {u} and {v} lie on a cycle")
 
 
+def _forward_ids(g: Digraph) -> bool:
+    """Every edge runs from a smaller id to a larger one, so g is acyclic."""
+    return bool((g.array[:, 0] < g.array[:, 1]).all())
+
+
 def is_acyclic(g: Digraph) -> bool:
-    return condense(g).dag.n == g.n
+    """Forward ids answer at once; otherwise one SCC pass, and no closure."""
+    return _forward_ids(g) or condense(g).dag.n == g.n
 
 
 def transitive_reduction(dag: Digraph) -> Digraph:

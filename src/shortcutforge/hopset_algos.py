@@ -126,42 +126,62 @@ def _min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _hop_powers(base: np.ndarray, h: int) -> list[np.ndarray]:
+    """[base, base^2, ..., base^h] in min-plus: entry k - 1 is the k-hop minimum."""
+    powers = [base]
+    for _ in range(h - 1):
+        powers.append(_min_plus(powers[-1], base))
+    return powers
+
+
 def _extract_nice_paths(
     dist: DistanceMatrix, beta: int
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    h = beta // MIN_HOPBOUND
-    base = dist.dist.copy()
-    np.fill_diagonal(base, np.inf)
+    """Greedy h-hop tight paths, h = beta // 12, least (dist, i, j) first.
 
-    alive = np.ones(dist.n, dtype=bool)
+    A pair is tight when some walk of exactly h closure edges through alive
+    vertices weighs dist(i, j); the greedy takes the least tight pair, walks
+    back along smallest-id next vertices, kills the walk and repeats.  The
+    h-hop powers of the whole matrix are computed once, and candidates are
+    taken in (dist, i, j) order.  Two facts make that exact:
+
+    - Monotonicity: vertices only die, so a pair that fails the test never
+      passes later.  When a pair with both endpoints alive is reached, every
+      lesser pair is dead, failed or extracted; it is tested once and, if it
+      passes, it is the pair the greedy picks.
+    - Interval locality: weights are >= 1, so every vertex of a tight walk
+      from i to j lies on I(i, j) = {k alive : d(i,k) + d(k,j) = d(i,j)}, and
+      so does every tight walk from a vertex of I(i, j) to j.  The test and
+      the walk back give the same answer on I(i, j) as on all alive vertices.
+    """
+    h = beta // MIN_HOPBOUND
+    d = dist.dist
     paths: list[tuple[int, ...]] = []
     weights: list[tuple[int, ...]] = []
-    while True:
-        ids = np.flatnonzero(alive)
-        if ids.size < h + 1:
-            break
-        sub = base[np.ix_(ids, ids)]
-        powers = [sub]
-        for _ in range(h - 1):
-            powers.append(_min_plus(powers[-1], sub))
-        # A pair qualifies when some shortest path between it has exactly h
-        # hops, i.e. the h-hop minimum meets the distance itself.
-        cand = np.isfinite(sub) & (powers[-1] == sub)
-        if not cand.any():
-            break
-        scores = np.where(cand, sub, np.inf)
-        flat = int(np.argmin(scores))  # first minimum = lexicographic (i, j)
-        i, j = divmod(flat, ids.size)
+    if dist.n < h + 1:
+        return paths, weights
+    base = d.copy()
+    np.fill_diagonal(base, np.inf)
+    ii, jj = np.nonzero(np.isfinite(base) & (_hop_powers(base, h)[-1] == base))
+    order = np.argsort(base[ii, jj], kind="stable")  # nonzero is (i, j)-sorted
 
-        seq = [i]
-        cur = i
+    alive = np.ones(dist.n, dtype=bool)
+    for i, j in zip(ii[order].tolist(), jj[order].tolist()):
+        if not (alive[i] and alive[j]):
+            continue
+        ids = np.flatnonzero(alive & (d[i] + d[:, j] == d[i, j]))
+        sub = base[np.ix_(ids, ids)]
+        powers = _hop_powers(sub, h)
+        cur, end = np.searchsorted(ids, (i, j))
+        if powers[-1][cur, end] != sub[cur, end]:
+            continue
+
+        seq = [cur]
         for level in range(h, 1, -1):
-            targets = sub[cur] + powers[level - 2][:, j]
-            wanted = powers[level - 1][cur, j]
-            nxt = int(np.flatnonzero(targets == wanted)[0])
-            seq.append(nxt)
-            cur = nxt
-        seq.append(j)
+            targets = sub[cur] + powers[level - 2][:, end]
+            cur = int(np.flatnonzero(targets == powers[level - 1][cur, end])[0])
+            seq.append(cur)
+        seq.append(end)
         assert len(set(seq)) == h + 1, "shortest-path walk revisited a vertex"
 
         verts = tuple(int(ids[s]) for s in seq)
@@ -177,8 +197,13 @@ def nice_collection(g: WeightedDigraph, beta: int) -> NicePathCollection:
     Works on the weighted closure (edge (u,v) weighs dist(u,v)); extraction
     deletes path vertices, and remaining closure edges keep their weights
     since each is a direct edge.  Stops when no residual pair has a shortest
-    path of exactly beta // 12 hops, which (by the prefix argument) means no
-    residual shortest path has that many hops at all.
+    path of exactly h = beta // 12 hops; then none has more, as the first h
+    hops of a longer one would be such a path.  Vertices only die, so a pair
+    without such a path never gains one (monotonicity), and every vertex of
+    such a path lies on its endpoints' alive shortest-path interval
+    (interval locality).  Together they let ``_extract_nice_paths`` test
+    each pair at most once, on that interval, and still pick what the
+    greedy picks.
     """
     if beta < MIN_HOPBOUND:
         raise ValueError(f"hop budget must be >= {MIN_HOPBOUND}, got {beta}")

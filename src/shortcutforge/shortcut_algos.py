@@ -27,6 +27,7 @@ from .graph_core import (
     bounded_reachability,
     closure_digraph,
     condense,
+    is_acyclic,
     packed_reachability,
     scc_star_edges,
     tagged_rows,
@@ -145,7 +146,7 @@ def shortcut_large_d(
         raise ValueError(f"diameter target {d} below floor(n^(1/3)) = {floor_root(n, 3)}")
     if n <= 1:
         return ShortcutSet(n, (), params)
-    if condense(g).dag.n != n:
+    if not is_acyclic(g):
         raise ValueError("input must be acyclic")
 
     p = min(1.0, c * math.sqrt(n) * math.log(n) / d**1.5)

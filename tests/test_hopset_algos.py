@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from shortcutforge import hopset_algos
 from shortcutforge._seeds import SITE_GROUP_SAMPLE, SITE_VERTEX_SAMPLE, sample_mask
+from shortcutforge.generators import GenSpec, generate
 from shortcutforge.graph_core import (
     DistanceMatrix,
     WeightedDigraph,
@@ -53,6 +54,13 @@ def random_weighted(n: int, p: float, w_max: int, seed: int) -> WeightedDigraph:
     return WeightedDigraph(
         n, ((int(u), int(v), int(w)) for (u, v), w in zip(pairs, ws))
     )
+
+
+def weighted_grid(n: int, w_max: int, seed: int) -> WeightedDigraph:
+    """grid_dag with seeded weights in [1, w_max]."""
+    grid = generate(GenSpec("grid_dag", n)).array
+    ws = np.random.default_rng(seed).integers(1, w_max + 1, size=len(grid))
+    return WeightedDigraph(n, np.column_stack([grid, ws]))
 
 
 def union_with(g: WeightedDigraph, h: HopsetEdges) -> WeightedDigraph:
@@ -133,6 +141,64 @@ class TestNiceCollection:
         for p in q.paths:
             assert not (seen & set(p))
             seen.update(p)
+
+
+class TestExtractCost:
+    """The h-hop powers of the full matrix are built once per extraction."""
+
+    @staticmethod
+    def count_products(monkeypatch) -> list[tuple[int, ...]]:
+        shapes: list[tuple[int, ...]] = []
+        real = hopset_algos._min_plus
+
+        def spy(a, b):
+            shapes.append(a.shape)
+            return real(a, b)
+
+        monkeypatch.setattr(hopset_algos, "_min_plus", spy)
+        return shapes
+
+    def test_unit_path_one_full_product(self, monkeypatch):
+        shapes = self.count_products(monkeypatch)
+        paths, _ = _extract_nice_paths(apsp(unit_path(25)), 24)
+        assert len(paths) == 8
+        # one full product, then one per path on its interval {3i, 3i+1, 3i+2}
+        assert shapes == [(25, 25)] + [(3, 3)] * 8
+
+    @pytest.mark.parametrize("beta", [12, 24, 36, 48])
+    def test_full_products_independent_of_path_count(self, monkeypatch, beta):
+        shapes = self.count_products(monkeypatch)
+        paths, _ = _extract_nice_paths(apsp(weighted_grid(100, 3, 7)), beta)
+        assert len(paths) >= 2
+        assert shapes.count((100, 100)) == beta // MIN_HOPBOUND - 1
+        # every re-check runs on a shortest-path interval, not the residual graph
+        assert all(rows < 50 for rows, _ in shapes if rows != 100)
+
+    @pytest.mark.parametrize(
+        "g, beta",
+        [
+            (WeightedDigraph(0, []), 24),
+            (unit_path(3), 36),  # 3 hops need 4 vertices
+            (unit_path(4), 60),
+        ],
+    )
+    def test_too_few_vertices_is_empty_without_products(self, monkeypatch, g, beta):
+        shapes = self.count_products(monkeypatch)
+        assert _extract_nice_paths(apsp(g), beta) == ([], [])
+        assert shapes == []
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            WeightedDigraph(6, []),
+            # all-ones complete DAG: every 2-hop route costs 2 > 1
+            WeightedDigraph(8, [(i, j, 1) for i in range(8) for j in range(i + 1, 8)]),
+        ],
+    )
+    def test_no_candidate_pair_is_empty_after_one_product(self, monkeypatch, g):
+        shapes = self.count_products(monkeypatch)
+        assert _extract_nice_paths(apsp(g), 24) == ([], [])
+        assert shapes == [(g.n, g.n)]
 
 
 class TestPartition:
@@ -468,3 +534,81 @@ def test_ladder_matches_per_vertex_reference(n, p, w_max, eps, seed, data):
     got = geometric_ladder(dist, sources, subpaths, eps)
     want = [row for v in sources for sp in subpaths for row in _reference_ladder(dist, v, sp, eps)]
     assert ladder_rows(got) == want
+
+
+# ---------------------------------------------------------------------------
+# Nice-path extraction: the per-path loop that recomputed the h-hop powers of
+# the whole residual matrix for every extracted path, kept verbatim (with its
+# min-plus helper) from before extraction became one powers pass plus
+# interval re-checks.
+
+
+def _reference_min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.empty_like(a)
+    step = max(1, 4_000_000 // max(1, a.shape[1] ** 2))
+    for lo in range(0, a.shape[0], step):
+        out[lo : lo + step] = (a[lo : lo + step, :, None] + b[None, :, :]).min(axis=1)
+    return out
+
+
+def _reference_extract_nice_paths(
+    dist: DistanceMatrix, beta: int
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    h = beta // MIN_HOPBOUND
+    base = dist.dist.copy()
+    np.fill_diagonal(base, np.inf)
+
+    alive = np.ones(dist.n, dtype=bool)
+    paths: list[tuple[int, ...]] = []
+    weights: list[tuple[int, ...]] = []
+    while True:
+        ids = np.flatnonzero(alive)
+        if ids.size < h + 1:
+            break
+        sub = base[np.ix_(ids, ids)]
+        powers = [sub]
+        for _ in range(h - 1):
+            powers.append(_reference_min_plus(powers[-1], sub))
+        # A pair qualifies when some shortest path between it has exactly h
+        # hops, i.e. the h-hop minimum meets the distance itself.
+        cand = np.isfinite(sub) & (powers[-1] == sub)
+        if not cand.any():
+            break
+        scores = np.where(cand, sub, np.inf)
+        flat = int(np.argmin(scores))  # first minimum = lexicographic (i, j)
+        i, j = divmod(flat, ids.size)
+
+        seq = [i]
+        cur = i
+        for level in range(h, 1, -1):
+            targets = sub[cur] + powers[level - 2][:, j]
+            wanted = powers[level - 1][cur, j]
+            nxt = int(np.flatnonzero(targets == wanted)[0])
+            seq.append(nxt)
+            cur = nxt
+        seq.append(j)
+        assert len(set(seq)) == h + 1, "shortest-path walk revisited a vertex"
+
+        verts = tuple(int(ids[s]) for s in seq)
+        paths.append(verts)
+        weights.append(tuple(int(sub[a, b]) for a, b in zip(seq, seq[1:])))
+        alive[list(verts)] = False
+    return paths, weights
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    family=st.sampled_from(["random", "grid"]),
+    n=st.integers(min_value=0, max_value=40),
+    p=st.floats(min_value=0.02, max_value=0.5),
+    w_max=st.sampled_from([1, 3, 10**6]),
+    beta=st.sampled_from([12, 24, 36, 48]),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_nice_paths_match_per_path_reference(family, n, p, w_max, beta, seed):
+    if family == "grid" and n:
+        g = weighted_grid(n, w_max, seed)
+    else:
+        g = random_weighted(n, p, w_max, seed)
+    dist = apsp(g)
+    assert _extract_nice_paths(dist, beta) == _reference_extract_nice_paths(dist, beta)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from shortcutforge import graph_core, shortcut_algos
 from shortcutforge.chain_decomp import decompose
 from shortcutforge.generators import GenSpec, generate
 from shortcutforge.line_shortcut import shortcut_path
@@ -14,6 +15,7 @@ from shortcutforge.graph_core import (
     closure_digraph,
     condense,
     hop_limited_dist,
+    is_acyclic,
     transitive_closure,
     transitive_reduction,
     unit_weights,
@@ -237,6 +239,27 @@ class TestLargeD:
             hs = shortcut_large_d(g, 64, 3.0, seed=seed)
             assert hs.edges <= closure_pairs(g)
             assert hop_diameter(g, hs.edges) <= 4 * 64
+
+
+    def test_forward_ids_skip_condense(self, monkeypatch):
+        # the condensation build_shortcuts hands over has forward ids, so
+        # the acyclicity test must not run a second SCC pass on it
+        g = generate(GenSpec("grid_dag", 400))
+        want = shortcut_large_d(g, 20, 3.0, seed=5)
+
+        def refuse(g):
+            raise AssertionError("condense called on a forward-id graph")
+
+        monkeypatch.setattr(graph_core, "condense", refuse)
+        monkeypatch.setattr(shortcut_algos, "condense", refuse)
+        assert is_acyclic(g)
+        got = shortcut_large_d(g, 20, 3.0, seed=5)
+        assert len(got) > 0 and got == want
+
+    def test_rejects_cyclic_input(self):
+        ring = Digraph(27, [(i, (i + 1) % 27) for i in range(27)])
+        with pytest.raises(ValueError, match="input must be acyclic"):
+            shortcut_large_d(ring, 9, seed=0)
 
 
 class TestBuildShortcuts:
