@@ -21,6 +21,7 @@ from .graph_core import (
     hop_limited_dist,
     is_acyclic,
     load_edge_list,
+    load_edge_rows,
     scc_star_edges,
     transitive_closure,
     transitive_reduction,
@@ -80,6 +81,7 @@ __all__ = [
     "hop_limited_dist",
     "is_acyclic",
     "load_edge_list",
+    "load_edge_rows",
     "scc_star_edges",
     "transitive_closure",
     "transitive_reduction",

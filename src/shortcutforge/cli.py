@@ -13,12 +13,9 @@ import csv
 import io
 import sys
 import time
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .chain_decomp import decompose
@@ -26,15 +23,14 @@ from .generators import FAMILIES, GenSpec, generate, subdivide
 from .graph_core import (
     Digraph,
     WeightedDigraph,
-    _format_rows,
-    _tokenize,
     dump_edge_list,
     load_edge_list,
+    load_edge_rows,
     transitive_closure,
 )
 from .hopset_algos import HOPSET_TAGS, as_eps, build_hopset, hopset_large_hop, hopset_small_hop
 from .oracles import verify_hopset, verify_shortcut
-from .shortcut_algos import TAGS, _tc_spanner_parts, build_shortcuts, folklore
+from .shortcut_algos import TAGS, build_shortcuts, folklore, tc_spanner
 
 SHORTCUT_MODES = ("auto", "small", "large", "folklore", "tcspanner")
 BENCH_ALGOS = ("folklore", "small_diam", "large_d", "hopset_small", "hopset_large")
@@ -77,56 +73,6 @@ def _read_graph(path: str) -> Digraph | WeightedDigraph:
     return report.graph
 
 
-def _write_tagged(
-    path: str, n: int, edges: np.ndarray, tags: np.ndarray, comments: list[str]
-) -> None:
-    out = [f"# {c}" for c in comments]
-    out.append(f"{n} {len(edges)}")
-    out.extend(_format_rows(*edges.T.tolist(), tags.tolist()))
-    Path(path).write_text("\n".join(out) + "\n")
-
-
-def _read_tagged(path: str) -> tuple[int, np.ndarray]:
-    """Read files written by the shortcut/hopset subcommands.
-
-    Rows are "u v tag" or "u v w tag"; the tag column is optional so plain
-    edge lists verify too.  Returns n and the header's m rows as an (m, 2) or
-    (m, 3) int array; every row has as many integer fields as the first.
-    """
-    lines = _tokenize(Path(path).read_text())
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise ValueError("empty edge file") from None
-    if len(header) < 2:
-        raise ValueError(f"line {lineno}: header must start with 'n m'")
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError:
-        raise ValueError(f"line {lineno}: non-integer header field") from None
-    flat: list[int] = []
-    width = 0
-    for lineno, toks in lines:
-        ints = []
-        for t in toks:
-            if t.isidentifier():  # a tag; cheaper to spot than a failed int()
-                break
-            try:
-                ints.append(int(t))
-            except ValueError:
-                break
-        if len(ints) not in (2, 3):
-            raise ValueError(f"line {lineno}: expected 'u v [w] [tag]'")
-        if width and len(ints) != width:
-            raise ValueError(f"line {lineno}: expected {width} integers, as on the first row")
-        width = len(ints)
-        flat.extend(ints)
-    rows = np.array(flat, dtype=np.int64).reshape(-1, width or 2)
-    if len(rows) != m:
-        raise ValueError(f"header declares m={m} edges but file has {len(rows)}")
-    return n, rows
-
-
 def _cmd_gen(args: argparse.Namespace) -> int:
     spec = GenSpec(args.family, args.n, args.p, args.density, args.W, args.seed)
     g = generate(spec)
@@ -167,20 +113,14 @@ def _cmd_shortcut(args: argparse.Namespace) -> int:
         f" --seed {args.seed} --mode {args.mode}"
     )
     if args.mode == "tcspanner":
-        base, hs = _tc_spanner_parts(g, args.diameter, args.const, args.seed)
-        extra = ~base.has_pairs(hs.array)
-        edges = np.concatenate([base.array, hs.array[extra]])
-        tags = np.concatenate([np.full(base.m, "baseline", dtype=object), hs.tags[extra]])
+        hs = tc_spanner(g, args.diameter, args.const, seed=args.seed)
+    elif args.mode == "folklore":
+        hs = folklore(g, args.diameter, args.const, seed=args.seed)
     else:
-        if args.mode == "folklore":
-            hs = folklore(g, args.diameter, args.const, seed=args.seed)
-        else:
-            hs = build_shortcuts(g, args.diameter, args.const, seed=args.seed, mode=args.mode)
-        edges, tags = hs.array, hs.tags
-    counts = Counter(tags.tolist())
-    summary = " ".join(f"{t}={counts[t]}" for t in TAGS)
-    _write_tagged(args.out, g.n, edges, tags, [head, f"edge counts: {summary}"])
-    print(f"wrote {args.out} ({len(edges)} edges)")
+        hs = build_shortcuts(g, args.diameter, args.const, seed=args.seed, mode=args.mode)
+    summary = " ".join(f"{t}={hs.tag_counts[t]}" for t in TAGS)
+    Path(args.out).write_text(dump_edge_list(hs, [head, f"edge counts: {summary}"]))
+    print(f"wrote {args.out} ({len(hs)} edges)")
     return 0
 
 
@@ -195,14 +135,14 @@ def _cmd_hopset(args: argparse.Namespace) -> int:
         f" --const {args.const} --seed {args.seed}"
     )
     summary = " ".join(f"{t}={hs.tag_counts[t]}" for t in HOPSET_TAGS)
-    _write_tagged(args.out, g.n, hs.array, hs.tags, [head, f"edge counts: {summary}"])
+    Path(args.out).write_text(dump_edge_list(hs, [head, f"edge counts: {summary}"]))
     print(f"wrote {args.out} ({len(hs)} edges)")
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
-    n, rows = _read_tagged(args.edges)
+    n, rows = load_edge_rows(Path(args.edges).read_text())
     if n != g.n:
         raise ValueError(f"edge file is for n={n}, graph has n={g.n}")
     if args.mode == "shortcut":

@@ -10,9 +10,9 @@ Edge storage is decided here alone: Digraph, WeightedDigraph and TaggedEdges
 each hold one read-only int64 ``array`` sorted by (u, v), of shape (m, 2) or
 (m, 3) with the weight last; TaggedEdges adds ``codes``, indices into TAGS.
 ``edges`` (a frozenset of tuples) and ``tagged`` (row tuples ending in the tag
-name) are views built on first access; kernels read the arrays.  The bit
-layout of a ReachabilityMatrix is also decided here alone; other modules read
-it through rows() and has().
+name) are views built on first access; kernels read the arrays.  The edge
+file formats, tagged or not, and the bit layout of a ReachabilityMatrix are
+also decided here alone; other modules read the bits through rows() and has().
 """
 
 from __future__ import annotations
@@ -37,9 +37,16 @@ def _check_vertex_count(n: int) -> None:
         )
 
 
+def _int64(values: object) -> np.ndarray:
+    try:
+        return np.asarray(values, np.int64)
+    except OverflowError:
+        raise ValueError("integer field outside the int64 range") from None
+
+
 def _int_rows(edges: Iterable[Sequence[int]] | np.ndarray, width: int) -> np.ndarray:
     """Rows of ``edges`` as an (m, width) int64 array."""
-    arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), np.int64)
+    arr = _int64(edges if isinstance(edges, np.ndarray) else list(edges))
     if arr.size == 0:
         return arr.reshape(0, width)
     if arr.ndim != 2 or arr.shape[1] != width:
@@ -165,20 +172,14 @@ class WeightedDigraph(_EdgeArray):
         return WeightedDigraph(self.n, rows[_kept_rows(self.n, rows, first_wins=True)])
 
 
-def tagged_rows(edges: np.ndarray, tags: object) -> np.ndarray:
-    """TaggedEdges input without a tuple per row: int rows plus one tag or a tag per row."""
-    rows = np.empty((len(edges), edges.shape[1] + 1), dtype=object)
-    rows[:, :-1] = edges
-    rows[:, -1] = tags
-    return rows
-
-
 class TaggedEdges(_EdgeArray):
-    """Provenance-tagged edge rows, (u, v, tag) or weighted (u, v, w, tag).
+    """Provenance-tagged edge rows: (u, v) or, with WIDTH 3, weighted (u, v, w).
 
-    Rows are deduplicated by pair, the first row winning, and sorted.  They
-    are stored as ``array`` plus ``codes``, each row's index into TAGS;
-    ``tagged`` is a view.  Subclasses fix the tag vocabulary in TAGS.
+    ``rows`` are int rows of the subclass's WIDTH; ``tags`` is one tag name
+    for every row or one name per row.  Rows are deduplicated by pair, the
+    first row winning, and sorted.  They are stored as ``array`` plus
+    ``codes``, each row's index into TAGS; ``tagged`` is a view.  Subclasses
+    fix the width and the tag vocabulary in TAGS.
     """
 
     params: object
@@ -186,21 +187,26 @@ class TaggedEdges(_EdgeArray):
 
     TAGS: ClassVar[tuple[str, ...]] = ()
 
-    def __init__(self, n: int, tagged: Iterable[tuple] | np.ndarray, params: object) -> None:
-        table = np.asarray(tagged if isinstance(tagged, np.ndarray) else list(tagged), object)
-        if table.ndim == 1 and not table.size:
-            table = table.reshape(0, 3)
-        if table.ndim != 2 or table.shape[1] not in (3, 4):
-            raise ValueError("tagged rows must be (u, v, tag) or (u, v, w, tag)")
-        names = table[:, -1]
-        codes = np.full(len(table), -1, dtype=np.int8)
+    def __init__(
+        self,
+        n: int,
+        rows: Iterable[Sequence[int]] | np.ndarray,
+        tags: str | Sequence[str] | np.ndarray,
+        params: object,
+    ) -> None:
+        _check_vertex_count(n)
+        rows = _int_rows(rows, self.WIDTH)
+        names = np.asarray(tags)
+        if names.ndim and len(names) != len(rows):
+            raise ValueError(f"{len(names)} tags for {len(rows)} rows")
+        codes = np.full(names.shape, -1, dtype=np.int8)
         for code, tag in enumerate(self.TAGS):
             codes[names == tag] = code
         if (codes < 0).any():
-            raise ValueError(f"unknown provenance tag {names[np.argmax(codes < 0)]!r}")
-        rows = table[:, :-1].astype(np.int64)
+            bad = names.ravel().tolist()[np.argmax(codes < 0)]
+            raise ValueError(f"unknown provenance tag {bad!r}")
         keep = _kept_rows(n, rows, first_wins=True)
-        codes = codes[keep]
+        codes = np.broadcast_to(codes, len(rows))[keep]
         codes.setflags(write=False)
         self._store(n, rows[keep], codes=codes, params=params)
 
@@ -468,8 +474,9 @@ def hop_limited_dist(g: WeightedDigraph, beta: int) -> DistanceMatrix:
     """Shortest distance over paths of at most ``beta`` edges, per source.
 
     Synchronous relaxation rounds (a DP over hop count), vectorized across
-    sources; a round that changes nothing ends early since every remaining
-    round would be a no-op.
+    sources.  A source's round reads only its own row, and a row that a
+    round leaves unchanged stays unchanged in every later round, so each
+    round relaxes only the rows the previous round changed, in place.
     """
     if beta < 0:
         raise ValueError("hop bound must be >= 0")
@@ -486,16 +493,17 @@ def hop_limited_dist(g: WeightedDigraph, beta: int) -> DistanceMatrix:
     # buffer stays modest.
     chunk = max(1, min(n, 8_000_000 // max(len(src), 1)))
     for lo in range(0, n, chunk):
-        block = dist[lo : lo + chunk].copy()
+        block = dist[lo : lo + chunk]
+        live = np.arange(len(block))[:, None]
         for _ in range(beta):
-            cand = block[:, src] + w
-            reduced = np.minimum.reduceat(cand, starts, axis=1)
-            new = block.copy()
-            new[:, tgt_unique] = np.minimum(new[:, tgt_unique], reduced)
-            if np.array_equal(new, block):
+            reduced = np.minimum.reduceat(block[live, src] + w, starts, axis=1)
+            old = block[live, tgt_unique]
+            better = reduced < old
+            changed = better.any(axis=1)
+            if not changed.any():
                 break
-            block = new
-        dist[lo : lo + chunk] = block
+            live = live[changed]
+            block[live, tgt_unique] = np.where(better[changed], reduced[changed], old[changed])
     dist.setflags(write=False)
     return DistanceMatrix(n, dist)
 
@@ -516,7 +524,8 @@ def unit_weights(g: Digraph) -> WeightedDigraph:
 
 # ---------------------------------------------------------------------------
 # Edge-list text format: first line "n m" (unweighted) or "n m W" (weighted),
-# then "u v" / "u v w" rows; '#' starts a comment.
+# then "u v" / "u v w" rows; '#' starts a comment.  Tagged edge files have an
+# "n m" header and end each row with its tag.
 
 
 @dataclass(frozen=True)
@@ -586,19 +595,61 @@ def load_edge_list(text: str) -> LoadReport:
     return LoadReport(graph, id_map, int(loops.sum()), len(arr) - len(kept), declared_n)
 
 
+def load_edge_rows(text: str) -> tuple[int, np.ndarray]:
+    """Parse an edge file as the shortcut and hopset subcommands write it.
+
+    Rows are "u v tag" or "u v w tag"; the tag column is optional so plain
+    edge lists read too.  Returns n and the header's m rows as an (m, 2) or
+    (m, 3) int array; every row has as many integer fields as the first.
+    """
+    lines = _tokenize(text)
+    try:
+        lineno, header = next(lines)
+    except StopIteration:
+        raise ValueError("empty edge file") from None
+    if len(header) < 2:
+        raise ValueError(f"line {lineno}: header must start with 'n m'")
+    try:
+        n, m = int(header[0]), int(header[1])
+    except ValueError:
+        raise ValueError(f"line {lineno}: non-integer header field") from None
+    flat: list[int] = []
+    width = 0
+    for lineno, toks in lines:
+        ints = []
+        for t in toks:
+            if t.isidentifier():  # a tag; cheaper to spot than a failed int()
+                break
+            try:
+                ints.append(int(t))
+            except ValueError:
+                break
+        if len(ints) not in (2, 3):
+            raise ValueError(f"line {lineno}: expected 'u v [w] [tag]'")
+        if width and len(ints) != width:
+            raise ValueError(f"line {lineno}: expected {width} integers, as on the first row")
+        width = len(ints)
+        flat.extend(ints)
+    rows = _int64(flat).reshape(-1, width or 2)
+    if len(rows) != m:
+        raise ValueError(f"header declares m={m} edges but file has {len(rows)}")
+    return n, rows
+
+
 def dump_edge_list(
-    g: Digraph | WeightedDigraph, comments: Sequence[str] = ()
+    g: Digraph | WeightedDigraph | TaggedEdges, comments: Sequence[str] = ()
 ) -> str:
-    """Serialize a graph in the edge-list format (rows sorted, deterministic)."""
+    """Serialize edges in the edge-list format (rows sorted, deterministic).
+
+    A TaggedEdges gets an "n m" header and its tag names as the last column.
+    """
     out = [f"# {c}" for c in comments]
     if isinstance(g, WeightedDigraph):
         out.append(f"{g.n} {g.m} {g.max_weight}")
     else:
         out.append(f"{g.n} {g.m}")
-    out.extend(_format_rows(*g.array.T.tolist()))
+    columns = g.array.T.tolist()
+    if isinstance(g, TaggedEdges):
+        columns.append(g.tags.tolist())
+    out.extend(map(" ".join(["{}"] * len(columns)).format, *columns))
     return "\n".join(out) + "\n"
-
-
-def _format_rows(*columns: Iterable[object]) -> Iterator[str]:
-    """Space-separated lines, one per row, from equal-length columns."""
-    return map(" ".join(["{}"] * len(columns)).format, *columns)

@@ -33,7 +33,6 @@ from .graph_core import (
     WeightedDigraph,
     apsp,
     hop_limited_dist,
-    tagged_rows,
 )
 
 HOPSET_TAGS = ("induced_closure", "geometric_ladder")
@@ -62,6 +61,7 @@ class HopsetParams:
 class HopsetEdges(TaggedEdges):
     """Tagged weighted rows (u, v, w, tag); params is a HopsetParams."""
 
+    WIDTH = 3
     TAGS = HOPSET_TAGS
 
 
@@ -298,7 +298,7 @@ def hopset_small_hop(
     params = HopsetParams(beta, frac, c, seed)
     n = g.n
     if n <= 1:
-        return HopsetEdges(n, (), params)
+        return HopsetEdges(n, (), (), params)
 
     half = frac / 2
     dist = apsp(g)
@@ -316,8 +316,8 @@ def hopset_small_hop(
     v_mask = sample_mask(seed, SITE_VERTEX_SAMPLE, n, p_samp)
     s_mask = sample_mask(seed, SITE_GROUP_SAMPLE, len(subpaths), p_samp)
     ladders = geometric_ladder(dist, np.flatnonzero(v_mask), [*compress(subpaths, s_mask)], half)
-    rows = [tagged_rows(closure, "induced_closure"), tagged_rows(ladders, "geometric_ladder")]
-    return HopsetEdges(n, np.concatenate(rows), params)
+    tags = np.repeat(["induced_closure", "geometric_ladder"], [len(closure), len(ladders)])
+    return HopsetEdges(n, np.concatenate([closure, ladders]), tags, params)
 
 
 def hopset_large_hop(
@@ -344,13 +344,13 @@ def hopset_large_hop(
     params = HopsetParams(beta, frac, c, seed)
     n = g.n
     if n <= 1:
-        return HopsetEdges(n, (), params)
+        return HopsetEdges(n, (), (), params)
 
     size = min(n, math.ceil(c * (n / beta) ** (4.0 / 3.0) * math.log(n)))
     rng = site_rng(seed, SITE_VERTEX_SAMPLE)
     sampled = np.sort(rng.choice(n, size=size, replace=False))
     if len(sampled) <= 1:
-        return HopsetEdges(n, (), params)
+        return HopsetEdges(n, (), (), params)
 
     r = max(1, floor_root(beta**4 // n, 3))
     while r**3 * n < beta**4:
@@ -367,7 +367,7 @@ def hopset_large_hop(
     inner = hopset_small_hop(sub, beta_sub, frac, c, seed=child_seed(seed))
     a, b = sampled[inner.array[:, :2].T]
     rows = np.column_stack([a, b, full[a, b].astype(np.int64)])
-    return HopsetEdges(n, tagged_rows(rows, inner.tags), params)
+    return HopsetEdges(n, rows, inner.tags, params)
 
 
 def build_hopset(

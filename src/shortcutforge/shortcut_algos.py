@@ -30,7 +30,6 @@ from .graph_core import (
     is_acyclic,
     packed_reachability,
     scc_star_edges,
-    tagged_rows,
     transitive_closure,
     transitive_reduction,
 )
@@ -58,12 +57,12 @@ def folklore(g: Digraph, d: int, c: float = 3.0, *, seed: int) -> ShortcutSet:
         raise ValueError(f"diameter target must be >= 1, got {d}")
     params = ShortcutParams(d, c, seed)
     if g.n <= 1:
-        return ShortcutSet(g.n, (), params)
+        return ShortcutSet(g.n, (), (), params)
     p = min(1.0, c * math.log(g.n) / d)
     sampled = np.flatnonzero(sample_mask(seed, SITE_VERTEX_SAMPLE, g.n, p))
     bits = transitive_closure(g).rows(sampled)[:, sampled]
     np.fill_diagonal(bits, False)
-    return ShortcutSet(g.n, tagged_rows(sampled[np.argwhere(bits)], "baseline"), params)
+    return ShortcutSet(g.n, sampled[np.argwhere(bits)], "baseline", params)
 
 
 def first_incoming_edge(
@@ -106,7 +105,7 @@ def shortcut_small_diam(
     params = ShortcutParams(d, c, seed)
     n = g.n
     if n == 0:
-        return ShortcutSet(0, (), params)
+        return ShortcutSet(0, (), (), params)
     if not 3 <= d <= small_diam_limit(n):
         raise ValueError(f"diameter target {d} outside [3, {small_diam_limit(n)}]")
     closure = transitive_closure(g)
@@ -123,11 +122,9 @@ def shortcut_small_diam(
     c_mask = sample_mask(seed, SITE_GROUP_SAMPLE, len(decomp.chains), p)
     sampled = [decomp.chains[i] for i in np.flatnonzero(c_mask)]
     hits = first_incoming_edge(closure, np.flatnonzero(v_mask), sampled)
-    rows = np.concatenate([
-        tagged_rows(np.array(pairs, dtype=np.int64).reshape(-1, 2), "path_shortcut"),
-        tagged_rows(hits, "sampled_pair"),
-    ])
-    return ShortcutSet(n, rows, params)
+    rows = np.concatenate([np.array(pairs, dtype=np.int64).reshape(-1, 2), hits])
+    tags = np.repeat(["path_shortcut", "sampled_pair"], [len(pairs), len(hits)])
+    return ShortcutSet(n, rows, tags, params)
 
 
 def shortcut_large_d(
@@ -145,7 +142,7 @@ def shortcut_large_d(
     if d < 1 or d < floor_root(n, 3):
         raise ValueError(f"diameter target {d} below floor(n^(1/3)) = {floor_root(n, 3)}")
     if n <= 1:
-        return ShortcutSet(n, (), params)
+        return ShortcutSet(n, (), (), params)
     if not is_acyclic(g):
         raise ValueError("input must be acyclic")
 
@@ -153,7 +150,7 @@ def shortcut_large_d(
     sampled = np.flatnonzero(sample_mask(seed, SITE_VERTEX_SAMPLE, n, p))
     n_sub = len(sampled)
     if n_sub <= 1:
-        return ShortcutSet(n, (), params)
+        return ShortcutSet(n, (), (), params)
 
     r = max(1, floor_root(d**3 // n, 2))
     while r * r * n < d**3:
@@ -163,7 +160,7 @@ def shortcut_large_d(
 
     d_sub = max(3, int(n_sub ** (1.0 / 3.0) / math.log(n)))
     inner = shortcut_small_diam(sub, d_sub, c, seed=child_seed(seed))
-    return ShortcutSet(n, tagged_rows(sampled[inner.array], inner.tags), params)
+    return ShortcutSet(n, sampled[inner.array], inner.tags, params)
 
 
 def build_shortcuts(
@@ -183,7 +180,7 @@ def build_shortcuts(
     cond = condense(g)
     dag = cond.dag
 
-    parts = []
+    rows, tags = [], []
     if dag.n > 1:
         use_small = mode == "small" or (mode == "auto" and d <= small_diam_limit(dag.n))
         if use_small:
@@ -193,14 +190,23 @@ def build_shortcuts(
         reps = np.array([members[0] for members in cond.representatives])
         lifted = reps[inner.array]
         fresh = ~g.has_pairs(lifted)
-        parts.append(tagged_rows(lifted[fresh], inner.tags[fresh]))
-    parts.append(tagged_rows(scc_star_edges(g, cond), "lifted"))
-    return ShortcutSet(g.n, np.concatenate(parts), params)
+        rows.append(lifted[fresh])
+        tags.append(inner.tags[fresh])
+    stars = scc_star_edges(g, cond)
+    rows.append(stars)
+    tags.append(np.full(len(stars), "lifted"))
+    return ShortcutSet(g.n, np.concatenate(rows), np.concatenate(tags), params)
 
 
-def _tc_spanner_parts(
-    g: Digraph, k: int, c: float, seed: int
-) -> tuple[Digraph, ShortcutSet]:
+def tc_spanner(g: Digraph, k: int, c: float = 3.0, *, seed: int) -> ShortcutSet:
+    """Reachability-preserving subgraph of the closure with hop bound k.
+
+    Per-SCC cycle covers plus the condensation's transitive reduction form
+    the backbone, tagged "baseline"; build_shortcuts on that backbone
+    supplies the hop bound, and its rows keep their tags.  Acyclic inputs
+    reach every closure pair within k hops; inputs with cycles may take up
+    to k + 2, one representative-star hop at each end.
+    """
     if k < 3:
         raise ValueError(f"hop target must be >= 3, got {k}")
     cond = condense(g)
@@ -210,16 +216,6 @@ def _tc_spanner_parts(
         if len(members) >= 2:
             parts.append(np.column_stack([members, np.roll(members, -1)]))
     base = Digraph(g.n, np.concatenate(parts))
-    return base, build_shortcuts(base, k, c, seed=seed)
-
-
-def tc_spanner(g: Digraph, k: int, c: float = 3.0, *, seed: int) -> Digraph:
-    """Reachability-preserving subgraph of the closure with hop bound k.
-
-    Per-SCC cycle covers plus the condensation's transitive reduction form
-    the backbone; build_shortcuts on that backbone supplies the hop bound.
-    Acyclic inputs reach every closure pair within k hops; inputs with
-    cycles may take up to k + 2, one representative-star hop at each end.
-    """
-    base, h = _tc_spanner_parts(g, k, c, seed)
-    return Digraph(g.n, np.concatenate([base.array, h.array]))
+    h = build_shortcuts(base, k, c, seed=seed)
+    tags = np.concatenate([np.full(base.m, "baseline"), h.tags])
+    return ShortcutSet(g.n, np.concatenate([base.array, h.array]), tags, h.params)

@@ -112,8 +112,10 @@ def test_verify_failure_exits_1(tmp_path):
         ("4 2\n0 1 tag\n1 2 5 tag\n", 2, "line 3: expected 2 integers, as on the first row"),
         ("4 99\n0 1\n", 2, "header declares m=99 edges but file has 1"),
         ("# c\n4 x\n0 1\n", 2, "line 2: non-integer header field"),
+        ("4 1\n0 99999999999999999999 tag\n", 2, "integer field outside the int64 range"),
     ],
-    ids=["tags_optional", "empty", "header", "row", "mixed_widths", "count", "header_int"],
+    ids=["tags_optional", "empty", "header", "row", "mixed_widths", "count", "header_int",
+         "int64"],
 )
 def test_verify_edge_file_reader(tmp_path, capsys, text, code, err):
     g = tmp_path / "g.txt"
@@ -156,8 +158,11 @@ def test_decomp_prints_chains(tmp_path, capsys):
         ("5 3\n10 11\n11 12\n12 13\n",
          "vertex ids renumbered, n=5 -> n=4; new ids follow the sorted order"
          " of the original ids; original ids by new id: 10 11 12 13\n"),
+        ("4 3\n0 99999999999999999999\n99999999999999999999 100000000000000000000\n"
+         "100000000000000000000 100000000000000000001\n",
+         "vertex ids renumbered, n=4 -> n=4"),
     ],
-    ids=["valid", "dropped", "renumbered"],
+    ids=["valid", "dropped", "renumbered", "renumbered_past_int64"],
 )
 def test_input_changes_reported_on_stderr(tmp_path, capsys, text, note):
     g = tmp_path / "g.txt"

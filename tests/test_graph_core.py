@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shortcutforge import graph_core
 from shortcutforge.generators import GenSpec, generate, subdivide
 from shortcutforge.graph_core import (
     MAX_VERTICES,
+    DistanceMatrix,
     Digraph,
     WeightedDigraph,
     apsp,
@@ -19,11 +24,14 @@ from shortcutforge.graph_core import (
     hop_limited_dist,
     is_acyclic,
     load_edge_list,
+    load_edge_rows,
     scc_star_edges,
     transitive_closure,
     unit_weights,
     weighted_closure,
 )
+from shortcutforge.hopset_algos import HopsetEdges, HopsetParams
+from shortcutforge.shortcut_algos import ShortcutParams, ShortcutSet
 
 
 def bounded_reachability_by_powers(g: Digraph, hops: int) -> np.ndarray:
@@ -98,6 +106,38 @@ def hop_dp_oracle(g: WeightedDigraph, beta: int) -> np.ndarray:
             nxt[:, v] = np.minimum(nxt[:, v], dist[:, u] + w)
         dist = nxt
     return dist
+
+
+def hop_limited_dist_by_full_rounds(g: WeightedDigraph, beta: int) -> DistanceMatrix:
+    """hop_limited_dist before it relaxed only the rows the last round
+    changed: every round copied and compared the whole block."""
+    if beta < 0:
+        raise ValueError("hop bound must be >= 0")
+    n = g.n
+    dist = np.full((n, n), np.inf)
+    np.fill_diagonal(dist, 0.0)
+    if beta == 0 or not g.m or n == 0:
+        dist.setflags(write=False)
+        return DistanceMatrix(n, dist)
+
+    src, tgt, w = g.edge_arrays
+    tgt_unique, starts = np.unique(tgt, return_index=True)
+    # Source rows are independent; chunk them so the (rows x m) candidate
+    # buffer stays modest.
+    chunk = max(1, min(n, 8_000_000 // max(len(src), 1)))
+    for lo in range(0, n, chunk):
+        block = dist[lo : lo + chunk].copy()
+        for _ in range(beta):
+            cand = block[:, src] + w
+            reduced = np.minimum.reduceat(cand, starts, axis=1)
+            new = block.copy()
+            new[:, tgt_unique] = np.minimum(new[:, tgt_unique], reduced)
+            if np.array_equal(new, block):
+                break
+            block = new
+        dist[lo : lo + chunk] = block
+    dist.setflags(write=False)
+    return DistanceMatrix(n, dist)
 
 
 def random_digraph(n: int, p: float, rng: np.random.Generator) -> Digraph:
@@ -358,6 +398,30 @@ class TestDistances:
         g = random_weighted(30, 0.15, 7, np.random.default_rng(47))
         assert np.array_equal(hop_limited_dist(g, g.n).dist, apsp(g).dist)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=40),
+        p=st.floats(min_value=0.0, max_value=0.5),
+        w_max=st.sampled_from([1, 9, 10**6]),
+        beta=st.integers(min_value=0, max_value=50),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(n=0, p=0.3, w_max=9, beta=5, seed=0)
+    @example(n=12, p=0.0, w_max=9, beta=5, seed=0)  # edgeless
+    def test_hop_limited_matches_full_rounds(self, n, p, w_max, beta, seed):
+        g = random_weighted(n, p, w_max, np.random.default_rng(seed))
+        got = hop_limited_dist(g, beta).dist
+        assert np.array_equal(got, hop_limited_dist_by_full_rounds(g, beta).dist)
+        assert not got.flags.writeable
+
+    def test_hop_limited_matches_full_rounds_across_chunks(self):
+        # 300 sources over ~31,000 edges run as two chunks of source rows.
+        g = random_weighted(300, 0.35, 10**6, np.random.default_rng(59))
+        assert 8_000_000 // g.m < g.n
+        for beta in (1, 3, 8):
+            got = hop_limited_dist(g, beta).dist
+            assert np.array_equal(got, hop_limited_dist_by_full_rounds(g, beta).dist)
+
     def test_weighted_closure_weights_are_distances(self):
         g = random_weighted(20, 0.15, 6, np.random.default_rng(53))
         wc = weighted_closure(g)
@@ -398,6 +462,7 @@ class TestEdgeListIO:
             ("2 1\n0 x\n", "line 2"),
             ("2 2\n0 1\n", "m=2"),
             ("2 1 5\n0 1 9\n", "weight"),
+            ("2 1 100000000000000000000000\n0 1 99999999999999999999\n", "int64"),
         ],
     )
     def test_errors_carry_line_context(self, text, fragment):
@@ -407,3 +472,71 @@ class TestEdgeListIO:
     def test_vertex_cap(self):
         with pytest.raises(ValueError):
             Digraph(MAX_VERTICES + 1, [])
+
+
+SHORTCUT_PARAMS = ShortcutParams(4, 3.0, 0)
+HOPSET_PARAMS = HopsetParams(12, Fraction(1, 4), 3.0, 0)
+
+
+class TestTaggedEdges:
+    @pytest.mark.parametrize(
+        "cls, params, rows, tags",
+        [
+            (ShortcutSet, SHORTCUT_PARAMS, [(2, 0), (0, 1), (1, 3), (2, 0)],
+             ["baseline", "lifted", "path_shortcut", "lifted"]),
+            (HopsetEdges, HOPSET_PARAMS, [(2, 0, 5), (0, 1, 1), (1, 3, 2), (2, 0, 9)],
+             ["geometric_ladder", "induced_closure", "induced_closure", "induced_closure"]),
+        ],
+    )
+    def test_equal_whatever_the_row_source(self, cls, params, rows, tags):
+        arr = np.array(rows, dtype=np.int64)
+        built = [
+            cls(4, arr, tags, params),
+            cls(4, list(arr), tags, params),  # 1-D row arrays
+            cls(4, rows, tags, params),
+            cls(4, (r for r in rows), tags, params),
+            cls(4, arr, np.array(tags, dtype=object), params),
+        ]
+        for h in built[1:]:
+            assert h == built[0] and hash(h) == hash(built[0])
+        assert built[0].m == 3
+        assert built[0].tagged[2] == (*rows[0], tags[0])  # the first row wins
+        assert cls(4, arr[::-1], tags[::-1], params) != built[0]
+
+    @pytest.mark.parametrize(
+        "cls, params, rows",
+        [
+            (ShortcutSet, SHORTCUT_PARAMS, [(2, 0), (0, 1)]),
+            (HopsetEdges, HOPSET_PARAMS, [(2, 0, 5), (0, 1, 1)]),
+        ],
+    )
+    def test_one_tag_name_for_every_row(self, cls, params, rows):
+        tag = cls.TAGS[-1]
+        h = cls(3, rows, tag, params)
+        assert h == cls(3, rows, [tag] * len(rows), params)
+        assert h.tag_counts[tag] == len(rows)
+        assert cls(3, (), tag, params) == cls(3, (), (), params)
+
+    @pytest.mark.parametrize(
+        "cls, params, rows, tags, match",
+        [
+            (ShortcutSet, SHORTCUT_PARAMS, [(0, 1), (1, 2)], ["baseline", "x"],
+             "unknown provenance tag 'x'"),
+            (ShortcutSet, SHORTCUT_PARAMS, [(0, 1, 4)], "baseline", "2 fields"),
+            (ShortcutSet, SHORTCUT_PARAMS, [(0, 1)], ["baseline"] * 2, "2 tags for 1 rows"),
+            (HopsetEdges, HOPSET_PARAMS, [(0, 1)], "induced_closure", "3 fields"),
+            (HopsetEdges, HOPSET_PARAMS, [(0, 1, 2**70)], "induced_closure", "int64"),
+        ],
+    )
+    def test_bad_rows_rejected(self, cls, params, rows, tags, match):
+        with pytest.raises(ValueError, match=match):
+            cls(3, rows, tags, params)
+
+    def test_dump_writes_tags_under_an_n_m_header(self):
+        h = HopsetEdges(
+            4, [(2, 0, 5), (0, 1, 1)], ["geometric_ladder", "induced_closure"], HOPSET_PARAMS
+        )
+        text = dump_edge_list(h, ["made by hand"])
+        assert text == "# made by hand\n4 2\n0 1 1 induced_closure\n2 0 5 geometric_ladder\n"
+        n, rows = load_edge_rows(text)
+        assert n == 4 and np.array_equal(rows, h.array)

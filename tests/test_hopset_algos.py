@@ -86,22 +86,22 @@ class TestHopsetEdges:
     def test_dedupe_first_wins(self):
         params = HopsetParams(12, EPS14, 3.0, 0)
         h = HopsetEdges(
-            3, [(0, 1, 5, "induced_closure"), (0, 1, 7, "geometric_ladder")], params
+            3, [(0, 1, 5), (0, 1, 7)], ["induced_closure", "geometric_ladder"], params
         )
         assert h.tagged == ((0, 1, 5, "induced_closure"),)
 
     @pytest.mark.parametrize(
         "row",
         [
-            (0, 0, 1, "induced_closure"),
-            (0, 1, 0, "induced_closure"),
-            (0, 1, 1, "nope"),
-            (0, 1, 1, "recursive"),
+            ((0, 0, 1), "induced_closure"),
+            ((0, 1, 0), "induced_closure"),
+            ((0, 1, 1), "nope"),
+            ((0, 1, 1), "recursive"),
         ],
     )
     def test_rejects_bad_rows(self, row):
         with pytest.raises(ValueError):
-            HopsetEdges(2, [row], HopsetParams(12, EPS14, 3.0, 0))
+            HopsetEdges(2, [row[0]], row[1], HopsetParams(12, EPS14, 3.0, 0))
 
 
 class TestNiceCollection:
@@ -482,7 +482,7 @@ def _reference_small_hop(
         for sp in picked:
             for src, tgt, wt in _reference_ladder(dist, v, sp, half):
                 rows.append((src, tgt, wt, "geometric_ladder"))
-    return HopsetEdges(n, rows, params)
+    return HopsetEdges(n, [r[:3] for r in rows], [r[3] for r in rows], params)
 
 
 # eps = 1/2^61 with weights up to 10^6 puts (1+eps)*dist past 2^63, and

@@ -68,6 +68,21 @@ def transitive_reduction_by_product(dag: Digraph) -> Digraph:
     return Digraph(dag.n, np.argwhere(keep))
 
 
+def tc_spanner_parts(g: Digraph, k: int, c: float, seed: int) -> tuple[Digraph, ShortcutSet]:
+    """tc_spanner's backbone and its shortcut set, as tc_spanner built them
+    when it returned their union as a Digraph."""
+    if k < 3:
+        raise ValueError(f"hop target must be >= 3, got {k}")
+    cond = condense(g)
+    reps = np.array([members[0] for members in cond.representatives], np.int64)
+    parts = [reps[transitive_reduction(cond.dag).array]]
+    for members in cond.representatives:  # each is sorted; close it into a ring
+        if len(members) >= 2:
+            parts.append(np.column_stack([members, np.roll(members, -1)]))
+    base = Digraph(g.n, np.concatenate(parts))
+    return base, build_shortcuts(base, k, c, seed=seed)
+
+
 def closure_pairs(g: Digraph) -> set[tuple[int, int]]:
     bits = transitive_closure(g).rows()
     np.fill_diagonal(bits, False)
@@ -77,23 +92,21 @@ def closure_pairs(g: Digraph) -> set[tuple[int, int]]:
 class TestShortcutSet:
     def test_dedupe_keeps_first_tag(self):
         params = ShortcutParams(4, 3.0, 0)
-        hs = ShortcutSet(
-            3, [(0, 1, "path_shortcut"), (0, 1, "sampled_pair")], params
-        )
+        hs = ShortcutSet(3, [(0, 1), (0, 1)], ["path_shortcut", "sampled_pair"], params)
         assert hs.tagged == ((0, 1, "path_shortcut"),)
         assert hs.tag_counts["path_shortcut"] == 1
 
     @pytest.mark.parametrize(
         "rows",
         [
-            [(0, 0, "baseline")],
-            [(0, 3, "baseline")],
-            [(0, 1, "mystery")],
+            ([(0, 0)], "baseline"),
+            ([(0, 3)], "baseline"),
+            ([(0, 1)], "mystery"),
         ],
     )
     def test_rejects_bad_rows(self, rows):
         with pytest.raises(ValueError):
-            ShortcutSet(3, rows, ShortcutParams(4, 3.0, 0))
+            ShortcutSet(3, *rows, ShortcutParams(4, 3.0, 0))
 
 
 class TestFirstIncoming:
@@ -365,7 +378,7 @@ class TestTcSpanner:
     def test_path_within_k(self):
         g = path_graph(33)
         union = tc_spanner(g, 4, 3.0, seed=2)
-        assert isinstance(union, Digraph) and union.n == g.n
+        assert isinstance(union, ShortcutSet) and union.n == g.n
         hops = hop_limited_dist(unit_weights(union), g.n).dist
         for u, v in closure_pairs(g):
             assert hops[u, v] <= 4
@@ -404,3 +417,21 @@ class TestTcSpanner:
         for u, v in closure_pairs(g):
             limit = 2 if u // 4 == v // 4 else k + 2
             assert hops[u, v] <= limit
+
+    @pytest.mark.parametrize(
+        "g, k, seed",
+        [
+            (random_dag(96, 0.08, seed=3), 4, 3),
+            (generate(GenSpec("random_digraph", 60, 0.025, None, None, 3)), 4, 1),
+        ],
+        ids=["dag", "cyclic"],
+    )
+    def test_union_and_backbone_tags(self, g, k, seed):
+        got = tc_spanner(g, k, 3.0, seed=seed)
+        base, h = tc_spanner_parts(g, k, 3.0, seed)
+        assert Digraph(g.n, got.array) == Digraph(g.n, np.concatenate([base.array, h.array]))
+        on_base = base.has_pairs(got.array)
+        assert on_base.sum() == base.m and set(got.tags[on_base]) == {"baseline"}
+        tag_of = {(u, v): t for u, v, t in h.tagged}
+        assert all(tag_of[u, v] == t for (u, v, t), b in zip(got.tagged, on_base) if not b)
+        assert got.params == ShortcutParams(k, 3.0, seed)
