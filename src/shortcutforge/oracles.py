@@ -1,10 +1,16 @@
 """Ground-truth checkers, kept algorithm-free.
 
-Everything here is BFS, shortest-path relaxation, or exhaustive enumeration
-over the instance itself; nothing is shared with the construction modules,
-so agreement between the two sides is meaningful evidence.  Inputs are duck
-typed (anything with an ``edges`` attribute or a plain iterable of edges)
-for the same reason.
+Everything here is BFS, Dijkstra, min-plus matrix powers, or exhaustive
+enumeration over the instance itself.  No kernel is shared with the
+construction modules: this module imports only the two graph types from
+``graph_core`` and builds its own sparse and dense matrices from their edge
+rows, so a bug in a construction kernel cannot hide itself by recurring in
+its check.  Edge sets are duck typed (an edge container or a plain iterable
+of rows) for the same reason.
+
+Distances are float64 with +inf for unreachable pairs.  They are exact when
+every weight is an integer and every finite walk weight that a kernel adds
+up stays below 2**53, where float64 still holds every integer.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse import csgraph
 
-from .graph_core import Digraph, WeightedDigraph, apsp, hop_limited_dist
+from .graph_core import Digraph, WeightedDigraph
 
 ENUMERATION_VERTEX_CAP = 60
 
@@ -111,6 +117,78 @@ def _bfs_hops(n: int, edges: np.ndarray) -> np.ndarray:
     return csgraph.shortest_path(mat, method="D", unweighted=True)
 
 
+def apsp(g: WeightedDigraph) -> np.ndarray:
+    """Exact all-pairs distances: scipy Dijkstra from every source."""
+    n = g.n
+    if n == 0:
+        return np.zeros((0, 0))
+    u, v, w = g.array.T
+    mat = csr_matrix((w.astype(np.float64), (u, v)), shape=(n, n))
+    return csgraph.dijkstra(mat)
+
+
+def _min_plus(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """out <- a (min, +) b, as one rank-1 update per intermediate vertex k.
+
+    Every argument is n x n; tmp is scratch.  Where fewer than a quarter of
+    column k of a is finite, the update touches only those rows.
+    """
+    n = len(a)
+    out.fill(np.inf)
+    finite = np.isfinite(a)
+    sparse = finite.sum(axis=0) * 4 < n
+    for k in range(n):
+        if sparse[k]:
+            rows = np.flatnonzero(finite[:, k])
+            out[rows] = np.minimum(out[rows], a[rows, k, None] + b[k])
+        else:
+            np.add(a[:, k, None], b[k], out=tmp)
+            np.minimum(out, tmp, out=out)
+
+
+def hop_limited_dist(g: WeightedDigraph, beta: int) -> np.ndarray:
+    """Exact distances over walks of at most ``beta`` edges, all pairs.
+
+    P is the weight matrix with a zero diagonal, so its (min, +) power P^j
+    holds the least weight of a walk of at most j edges, and P^j only falls
+    as j grows.  The result is P^beta by binary exponentiation:
+    floor(log2 beta) squarings and one product per further set bit.
+
+    Fixpoint stop: if squaring leaves Q = P^k unchanged, then
+    P^(3k) = P^(2k) (min, +) P^k = P^k, and by induction P^(mk) = P^k for
+    every m >= 1; each P^j with j >= k lies between P^(mk) and P^k for m
+    large enough, so P^j = Q.  A squaring of Q = P^(2^i) is made only while
+    beta has a set bit above bit i, so beta > 2^i and Q is the answer.
+    """
+    if beta < 0:
+        raise ValueError("hop bound must be >= 0")
+    n = g.n
+    power = np.full((n, n), np.inf)
+    u, v, w = g.array.T
+    power[u, v] = w
+    np.fill_diagonal(power, 0.0)
+    result = None
+    out, tmp = np.empty((n, n)), np.empty((n, n))
+    bits = beta
+    while bits:
+        if bits & 1:
+            if result is None:
+                result = power.copy()
+            else:
+                _min_plus(result, power, out, tmp)
+                result, out = out, result
+        bits >>= 1
+        if bits:
+            _min_plus(power, power, out, tmp)
+            if np.array_equal(out, power):
+                return power
+            power, out = out, power
+    if result is None:
+        result = np.full((n, n), np.inf)
+        np.fill_diagonal(result, 0.0)
+    return result
+
+
 def verify_shortcut(g: Digraph, h, d: int, instance: str = "") -> VerificationReport:
     """Closure membership, closure preservation, and hop diameter vs d."""
     edges = _edge_array(h, 2)
@@ -175,7 +253,7 @@ def verify_hopset(
     frac = _as_fraction(eps)
     num, den = frac.numerator, frac.denominator
     triples = _edge_array(h, 3)
-    dg = apsp(g).dist
+    dg = apsp(g)
     checks: list[Check] = []
 
     u, v, w = triples.T
@@ -187,7 +265,7 @@ def verify_hopset(
     checks.append(Check("weight_exactness", "fail" if bad else "pass", witness=bad))
 
     union = g.union_min(triples[pair_ok & (w >= 1)])
-    dh = hop_limited_dist(union, beta).dist
+    dh = hop_limited_dist(union, beta)
 
     lower_bad = np.argwhere(dh < dg)
     checks.append(
@@ -268,7 +346,7 @@ def verify_nice(g: WeightedDigraph, q, instance: str = "") -> VerificationReport
     paths = [tuple(int(v) for v in p) for p in q.paths]
     weights = [tuple(int(w) for w in ws) for ws in q.edge_weights]
     lengths = [int(x) for x in q.lengths]
-    dg = apsp(g).dist
+    dg = apsp(g)
     checks: list[Check] = []
 
     seen: set[int] = set()

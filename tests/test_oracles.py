@@ -3,13 +3,18 @@ clean inputs?"""
 
 from __future__ import annotations
 
+import ast
+import inspect
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from shortcutforge.graph_core import Digraph, WeightedDigraph
+from shortcutforge import graph_core, oracles
+from shortcutforge.graph_core import Digraph, WeightedDigraph, weighted_closure
 from shortcutforge.hopset_algos import NicePathCollection, nice_collection
 from shortcutforge.oracles import (
     ENUMERATION_VERTEX_CAP,
@@ -221,3 +226,122 @@ class TestLbChecker:
         check = {c.name: c for c in report.checks}["vertex_load_bounded"]
         assert check.status == "fail"
         assert check.witness == (1, 4, 2)
+
+
+def random_weighted(n: int, p: float, w_max: int, seed: int) -> WeightedDigraph:
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n, n)) < p
+    np.fill_diagonal(mask, False)
+    pairs = np.argwhere(mask)
+    weights = rng.integers(1, w_max + 1, size=len(pairs))
+    return WeightedDigraph(n, np.column_stack([pairs, weights]))
+
+
+def hop_bellman_ford(n: int, triples, beta: int) -> list[list[float]]:
+    """Pure-Python Bellman-Ford cut after beta rounds, each reading the last."""
+    dist = [[0.0 if s == t else float("inf") for t in range(n)] for s in range(n)]
+    for _ in range(beta):
+        nxt = [row[:] for row in dist]
+        for u, v, w in triples:
+            for s in range(n):
+                if dist[s][u] + w < nxt[s][v]:
+                    nxt[s][v] = dist[s][u] + w
+        dist = nxt
+    return dist
+
+
+class TestOracleKernels:
+    def test_kernels_are_the_oracles_own(self):
+        assert oracles.apsp.__module__ == "shortcutforge.oracles"
+        assert oracles.hop_limited_dist.__module__ == "shortcutforge.oracles"
+        tree = ast.parse(inspect.getsource(oracles))
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").rsplit(".", 1)[-1] == "graph_core"
+            for alias in node.names
+        }
+        assert imported == {"Digraph", "WeightedDigraph"}
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=40),
+        p=st.floats(min_value=0.0, max_value=0.5),
+        w_max=st.sampled_from([1, 9, 10**6]),
+        beta=st.integers(min_value=0, max_value=50),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(n=0, p=0.3, w_max=9, beta=5, seed=0)
+    @example(n=1, p=0.3, w_max=9, beta=5, seed=0)
+    @example(n=12, p=0.0, w_max=9, beta=5, seed=0)  # edgeless
+    def test_hop_limited_matches_construction_kernel(self, n, p, w_max, beta, seed):
+        g = random_weighted(n, p, w_max, seed)
+        got = oracles.hop_limited_dist(g, beta)
+        assert np.array_equal(got, graph_core.hop_limited_dist(g, beta).dist)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=0, max_value=12),
+        beta=st.integers(min_value=0, max_value=14),
+    )
+    def test_hop_limited_matches_brute_force(self, data, n, beta):
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda e: e[0] != e[1]
+        )
+        weights = data.draw(
+            st.dictionaries(pairs, st.integers(1, 10**6), max_size=40) if n > 1
+            else st.just({})
+        )
+        triples = [(u, v, w) for (u, v), w in weights.items()]
+        g = WeightedDigraph(n, triples)
+        expect = np.array(hop_bellman_ford(n, triples, beta)).reshape(n, n)
+        assert np.array_equal(oracles.hop_limited_dist(g, beta), expect)
+
+    def test_negative_hop_bound_rejected(self):
+        with pytest.raises(ValueError):
+            oracles.hop_limited_dist(WeightedDigraph(3, [(0, 1, 1)]), -1)
+
+    @pytest.mark.parametrize("n, p, seed", [(0, 0.0, 0), (1, 0.0, 0), (15, 0.0, 1),
+                                            (30, 0.1, 2), (60, 0.05, 3)])
+    def test_apsp_matches_networkx(self, n, p, seed):
+        nx = pytest.importorskip("networkx")
+        g = random_weighted(n, p, 10**6, seed)
+        ref = nx.DiGraph()
+        ref.add_nodes_from(range(n))
+        ref.add_weighted_edges_from(g.array.tolist())
+        expect = np.full((n, n), np.inf)
+        for s, lengths in nx.all_pairs_dijkstra_path_length(ref):
+            for t, d in lengths.items():
+                expect[s, t] = d
+        assert np.array_equal(oracles.apsp(g), expect)
+
+
+class TestHopLimitedProductCount:
+    """Binary exponentiation with the fixpoint stop, counted by product."""
+
+    def count_products(self, monkeypatch, g: WeightedDigraph, beta: int) -> int:
+        calls = []
+        real = oracles._min_plus
+
+        def spy(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(oracles, "_min_plus", spy)
+        got = oracles.hop_limited_dist(g, beta)
+        assert np.array_equal(got, graph_core.hop_limited_dist(g, beta).dist)
+        return len(calls)
+
+    @pytest.mark.parametrize("beta", [2, 12, 80, 1000])
+    def test_hop_diameter_one_stops_at_once(self, monkeypatch, beta):
+        g = weighted_closure(random_weighted(30, 0.1, 9, 7))
+        assert self.count_products(monkeypatch, g, beta) <= 2
+
+    @pytest.mark.parametrize("beta", [48, 63])
+    def test_path_takes_log_plus_popcount(self, monkeypatch, beta):
+        g = WeightedDigraph(65, [(i, i + 1, 1 + i % 5) for i in range(64)])
+        expect = beta.bit_length() - 1 + bin(beta).count("1") - 1
+        assert expect == {48: 6, 63: 10}[beta]
+        assert self.count_products(monkeypatch, g, beta) == expect
