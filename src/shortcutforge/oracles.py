@@ -1,12 +1,17 @@
 """Ground-truth checkers, kept algorithm-free.
 
 Everything here is BFS, Dijkstra, min-plus matrix powers, or exhaustive
-enumeration over the instance itself.  No kernel is shared with the
+enumeration over the instance itself.  No function is shared with the
 construction modules: this module imports only the two graph types from
 ``graph_core`` and builds its own sparse and dense matrices from their edge
 rows, so a bug in a construction kernel cannot hide itself by recurring in
 its check.  Edge sets are duck typed (an edge container or a plain iterable
 of rows) for the same reason.
+
+The hop-limited kernel is a different algorithm from the constructions'
+round-by-round DP.  ``apsp`` is not: both it and ``graph_core.apsp`` call
+scipy's Dijkstra on a CSR matrix, so a fault in scipy would show on both
+sides.  The test suite cross-checks ``apsp`` against networkx's Dijkstra.
 
 Distances are float64 with +inf for unreachable pairs.  They are exact when
 every weight is an integer and every finite walk weight that a kernel adds
@@ -131,7 +136,10 @@ def _min_plus(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) ->
     """out <- a (min, +) b, as one rank-1 update per intermediate vertex k.
 
     Every argument is n x n; tmp is scratch.  Where fewer than a quarter of
-    column k of a is finite, the update touches only those rows.
+    column k of a is finite, the update touches only those rows.  Below that
+    share a gathered update costs at most about half of a full one (the two
+    break even near a half), and on the forward-id DAG unions of hop-deep
+    graphs many columns are that sparse.
     """
     n = len(a)
     out.fill(np.inf)
@@ -159,6 +167,14 @@ def hop_limited_dist(g: WeightedDigraph, beta: int) -> np.ndarray:
     every m >= 1; each P^j with j >= k lies between P^(mk) and P^k for m
     large enough, so P^j = Q.  A squaring of Q = P^(2^i) is made only while
     beta has a set bit above bit i, so beta > 2^i and Q is the answer.
+
+    Cost: a product is n rank-1 updates of the n x n output, O(n^3) once
+    the power's reachability is dense, whatever the number m of edges, and
+    there are at most floor(log2 beta) + popcount(beta) - 1 products, so
+    O(n^3 log beta) time.  Memory is four n x n float64 buffers and one
+    n x n bool mask, 33 n^2 bytes.  The round-by-round DP costs O(beta n m)
+    instead, so on a sparse union far from its fixpoint this kernel is the
+    slower one (see ROADMAP item 7).
     """
     if beta < 0:
         raise ValueError("hop bound must be >= 0")
