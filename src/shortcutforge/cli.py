@@ -205,7 +205,10 @@ class _BenchCell:
 def _parse_seed_values(text: str) -> list[int]:
     if ":" in text:
         lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi)))
+        seeds = list(range(int(lo), int(hi)))
+        if not seeds:
+            raise ValueError(f"seeds={text} is an empty range")
+        return seeds
     return [int(t) for t in text.split(",")]
 
 
@@ -230,22 +233,13 @@ def _parse_bench_config(text: str) -> list[_BenchCell]:
         try:
             algorithm = fields["algorithm"]
             family = fields["family"]
-            n = int(fields["n"])
+            n = fields["n"]
         except KeyError as missing:
             raise ValueError(f"config line {lineno}: missing key {missing}") from None
         if algorithm not in BENCH_ALGOS:
             raise ValueError(f"config line {lineno}: unknown algorithm {algorithm!r}")
         if family not in FAMILIES:
             raise ValueError(f"config line {lineno}: unknown family {family!r}")
-        base = _BenchCell(
-            lineno,
-            algorithm,
-            family,
-            n,
-            p=float(fields["p"]) if "p" in fields else None,
-            density=float(fields["density"]) if "density" in fields else None,
-            W=int(fields["W"]) if "W" in fields else None,
-        )
         hopset = algorithm.startswith("hopset")
         if hopset:
             if family != "weighted_random":
@@ -254,8 +248,6 @@ def _parse_bench_config(text: str) -> list[_BenchCell]:
                 )
             if "beta" not in fields or "eps" not in fields:
                 raise ValueError(f"config line {lineno}: {algorithm} needs beta= and eps=")
-            knob_values = [int(b) for b in fields["beta"].split(",")]
-            eps = Fraction(fields["eps"])
         else:
             if family == "weighted_random":
                 raise ValueError(
@@ -263,10 +255,22 @@ def _parse_bench_config(text: str) -> list[_BenchCell]:
                 )
             if "D" not in fields:
                 raise ValueError(f"config line {lineno}: {algorithm} needs D=")
-            knob_values = [int(d) for d in fields["D"].split(",")]
-            eps = None
-        c_values = [float(v) for v in fields.get("c", "3").split(",")]
-        seeds = _parse_seed_values(fields.get("seeds", "0"))
+        try:
+            base = _BenchCell(
+                lineno,
+                algorithm,
+                family,
+                int(n),
+                p=float(fields["p"]) if "p" in fields else None,
+                density=float(fields["density"]) if "density" in fields else None,
+                W=int(fields["W"]) if "W" in fields else None,
+            )
+            knob_values = [int(k) for k in fields["beta" if hopset else "D"].split(",")]
+            eps = Fraction(fields["eps"]) if hopset else None
+            c_values = [float(v) for v in fields.get("c", "3").split(",")]
+            seeds = _parse_seed_values(fields.get("seeds", "0"))
+        except (ValueError, ZeroDivisionError) as err:
+            raise ValueError(f"config line {lineno}: {err}") from None
         for knob in knob_values:
             for c in c_values:
                 for seed in seeds:

@@ -17,9 +17,11 @@ also decided here alone; other modules read the bits through rows() and has().
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar, Iterable, Iterator, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -537,61 +539,107 @@ class LoadReport:
     declared_n: int  # vertex count from the header, before any re-indexing
 
 
-def _tokenize(text: str) -> Iterator[tuple[int, list[str]]]:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            yield lineno, body.split()
+def _ascii_char(match: re.Match) -> str:
+    """A non-ASCII character as an ASCII one of its kind: digit, space or other."""
+    c = match[0]
+    return str(int(c)) if c.isdecimal() else " " if c.isspace() else "?"
+
+
+def _parse_edge_text(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Split an edge file into fields once, '#' comments and blank lines dropped.
+
+    Per line left, the header first: its number, its field count, how many of
+    its leading fields int() reads, and those fields, at most three, in a
+    (lines, 3) array padded with 0; the array is int64 unless one of them is
+    longer than 18 characters, and then holds Python ints.
+    """
+    body = re.sub("#.*", "", "\n".join(text.splitlines()))
+    if not body.isascii():  # the same fields and int values, in ASCII
+        body = re.sub(r"[^\x00-\x7f]", _ascii_char, body)
+    body = " " + body + " " * 18
+    b = np.frombuffer(body.encode(), np.uint8)
+    space = np.isin(b, list(b" \t\n\x1f"))  # all str.split() splits at, once lines are joined
+    starts = np.flatnonzero(space[:-1] & ~space[1:]) + 1
+    ends = np.flatnonzero(~space[:-1] & space[1:]) + 1
+    # int() reads decimal digits with single underscores between them, after
+    # at most one sign, and no more digits than sys.get_int_max_str_digits().
+    digit = (b >= ord("0")) & (b <= ord("9"))
+    ok = space | digit | ((b == ord("_")) & np.roll(digit, 1))
+    ok[starts] |= np.isin(b[starts], list(b"+-"))
+    is_int = np.logical_and.reduceat(ok, starts) & digit[ends - 1]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or len(b)  # 0 before 3.10.7
+    overlong = np.flatnonzero(is_int & (ends - starts > limit))
+    is_int[overlong] = [np.count_nonzero(digit[starts[i] : ends[i]]) <= limit for i in overlong]
+    del space, digit, ok  # a byte per character each; what follows is per field
+
+    line = np.searchsorted(np.flatnonzero(b == ord("\n")), starts) + 1
+    first = np.flatnonzero(np.diff(line, prepend=0))  # each line's first field
+    count = np.diff(first, append=len(starts))
+    # A line's leading int fields end at the next other field, or at its end.
+    next_other = np.minimum.accumulate(
+        np.where(is_int, len(starts), np.arange(len(starts)))[::-1]
+    )[::-1]
+    ints = np.minimum(next_other[first], first + count) - first
+    taken = np.arange(3) < np.minimum(ints, 3)[:, None]
+    fields = (first[:, None] + np.arange(3))[taken]
+    s, e = starts[fields], ends[fields]
+    # numpy reads fields of up to 18 characters, which fit int64, with int()
+    # in one call; longer ones, as ids past int64 are, are read one by one.
+    size = e - s
+    short = size <= 18
+    width = int(size[short].max(initial=1))
+    chars = np.lib.stride_tricks.sliding_window_view(b, width)[s[short]]
+    chars *= np.arange(width) < size[short, None]  # NUL past a field's end ends its bytes
+    picked = np.zeros(len(s), np.int64 if short.all() else object)
+    picked[short] = chars.view(f"S{width}").ravel().astype(np.int64)
+    picked[~short] = [int(body[i:j]) for i, j in zip(s[~short].tolist(), e[~short].tolist())]
+    values = np.zeros(taken.shape, picked.dtype)
+    values[taken] = picked
+    return line[first], count, ints, values
 
 
 def load_edge_list(text: str) -> LoadReport:
     """Parse the edge-list format; see the module docstring for re-indexing."""
-    lines = _tokenize(text)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise ValueError("empty edge-list input") from None
-    if len(header) not in (2, 3):
-        raise ValueError(f"line {lineno}: header must be 'n m' or 'n m W'")
-    try:
-        nums = [int(t) for t in header]
-    except ValueError:
-        raise ValueError(f"line {lineno}: non-integer header field") from None
-    weighted = len(nums) == 3
-    declared_n = n = nums[0]
-    m = nums[1]
-    w_cap = nums[2] if weighted else None
+    lines, fields, ints, values = _parse_edge_text(text)
+    if not len(lines):
+        raise ValueError("empty edge-list input")
+    if fields[0] not in (2, 3):
+        raise ValueError(f"line {lines[0]}: header must be 'n m' or 'n m W'")
+    if ints[0] < fields[0]:
+        raise ValueError(f"line {lines[0]}: non-integer header field")
+    want = int(fields[0])
+    n, m, w_cap = values[0].tolist()
+    declared_n = n
     _check_vertex_count(n)
-    if m < 0 or (weighted and w_cap < 1):
-        raise ValueError(f"line {lineno}: bad header values")
+    if m < 0 or (want == 3 and w_cap < 1):
+        raise ValueError(f"line {lines[0]}: bad header values")
 
-    rows: list[tuple[int, ...]] = []
-    want = 3 if weighted else 2
-    for lineno, toks in lines:
-        if len(toks) != want:
-            raise ValueError(f"line {lineno}: expected {want} fields, got {len(toks)}")
-        try:
-            vals = tuple(int(t) for t in toks)
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-integer field") from None
-        if weighted and not 1 <= vals[2] <= w_cap:
-            raise ValueError(f"line {lineno}: weight {vals[2]} outside [1, {w_cap}]")
-        rows.append(vals)
-    if len(rows) != m:
-        raise ValueError(f"header declares m={m} edges but file has {len(rows)}")
+    lines, fields, ints, values = lines[1:], fields[1:], ints[1:], values[1:]
+    w = values[:, 2]
+    bad = (fields != want) | (ints < want) | ((want == 3) & ((w < 1) | (w > w_cap)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        if fields[i] != want:
+            raise ValueError(f"line {lines[i]}: expected {want} fields, got {fields[i]}")
+        if ints[i] < want:
+            raise ValueError(f"line {lines[i]}: non-integer field")
+        raise ValueError(f"line {lines[i]}: weight {w[i]} outside [1, {w_cap}]")
+    if len(lines) != m:
+        raise ValueError(f"header declares m={m} edges but file has {len(lines)}")
 
-    ids = {r[0] for r in rows} | {r[1] for r in rows}
+    uv = values[:, :2]
     id_map: dict[int, int] | None = None
-    if ids and not all(0 <= i < n for i in ids):
-        id_map = {orig: new for new, orig in enumerate(sorted(ids))}
-        rows = [(id_map[r[0]], id_map[r[1]], *r[2:]) for r in rows]
-        n = len(id_map)
+    if ((uv < 0) | (uv >= n)).any():
+        ids, new_ids = np.unique(uv, return_inverse=True)
+        uv = new_ids.reshape(uv.shape)  # numpy 1.x returns it flat
+        id_map = dict(zip(ids.tolist(), range(len(ids))))
+        n = len(ids)
 
-    arr = _int_rows(rows, want)
+    arr = _int64(np.column_stack([uv, values[:, 2:want]]))
     loops = arr[:, 0] == arr[:, 1]
     arr = arr[~loops]
     kept = arr[_kept_rows(n, arr, first_wins=True)]
-    graph = (WeightedDigraph if weighted else Digraph)(n, kept)
+    graph = (WeightedDigraph if want == 3 else Digraph)(n, kept)
     return LoadReport(graph, id_map, int(loops.sum()), len(arr) - len(kept), declared_n)
 
 
@@ -602,35 +650,23 @@ def load_edge_rows(text: str) -> tuple[int, np.ndarray]:
     edge lists read too.  Returns n and the header's m rows as an (m, 2) or
     (m, 3) int array; every row has as many integer fields as the first.
     """
-    lines = _tokenize(text)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise ValueError("empty edge file") from None
-    if len(header) < 2:
-        raise ValueError(f"line {lineno}: header must start with 'n m'")
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError:
-        raise ValueError(f"line {lineno}: non-integer header field") from None
-    flat: list[int] = []
-    width = 0
-    for lineno, toks in lines:
-        ints = []
-        for t in toks:
-            if t.isidentifier():  # a tag; cheaper to spot than a failed int()
-                break
-            try:
-                ints.append(int(t))
-            except ValueError:
-                break
-        if len(ints) not in (2, 3):
-            raise ValueError(f"line {lineno}: expected 'u v [w] [tag]'")
-        if width and len(ints) != width:
-            raise ValueError(f"line {lineno}: expected {width} integers, as on the first row")
-        width = len(ints)
-        flat.extend(ints)
-    rows = _int64(flat).reshape(-1, width or 2)
+    lines, fields, ints, values = _parse_edge_text(text)
+    if not len(lines):
+        raise ValueError("empty edge file")
+    if fields[0] < 2:
+        raise ValueError(f"line {lines[0]}: header must start with 'n m'")
+    if ints[0] < 2:
+        raise ValueError(f"line {lines[0]}: non-integer header field")
+    n, m = values[0, :2].tolist()
+    lines, ints = lines[1:], ints[1:]
+    width = ints[0] if len(ints) else 2
+    bad = (ints < 2) | (ints > 3) | (ints != width)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if 2 <= ints[i] <= 3:
+            raise ValueError(f"line {lines[i]}: expected {width} integers, as on the first row")
+        raise ValueError(f"line {lines[i]}: expected 'u v [w] [tag]'")
+    rows = _int64(values[1:, :width])
     if len(rows) != m:
         raise ValueError(f"header declares m={m} edges but file has {len(rows)}")
     return n, rows

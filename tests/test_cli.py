@@ -249,6 +249,16 @@ class TestBench:
             ("x\nalgorithm=nope family=random_dag n=8 D=4\n", 1),
             ("# fine\nalgorithm=small_diam family=random_dag n=8 D=4 w0t=1\n", 2),
             ("algorithm=hopset_small family=random_dag n=8 beta=12 eps=1/4\n", 1),
+            ("algorithm=small_diam family=random_dag n=abc D=4\n", 1),
+            ("# fine\nalgorithm=small_diam family=random_dag n=8 D=x\n", 2),
+            ("algorithm=small_diam family=random_dag n=8 D=4 seeds=\n", 1),
+            ("\nalgorithm=small_diam family=random_dag n=8 D=4 W=\n", 2),
+            ("algorithm=small_diam family=random_dag n=8 p= D=4\n", 1),
+            ("algorithm=small_diam family=random_dag n=8 D=4 c=\n", 1),
+            ("algorithm=hopset_small family=weighted_random n=8 beta=12 eps=\n", 1),
+            ("algorithm=hopset_small family=weighted_random n=8 beta=12 eps=1/0\n", 1),
+            ("algorithm=small_diam family=random_dag n=64 p=0.15 D=4 seeds=0:1\n"
+             "algorithm=small_diam family=random_dag n=64 p=0.15 D=4 seeds=5:5\n", 2),
         ],
     )
     def test_config_errors_carry_line_numbers(self, tmp_path, capsys, line, lineno):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -29,6 +30,13 @@ from shortcutforge.graph_core import (
     transitive_closure,
     unit_weights,
     weighted_closure,
+)
+from shortcutforge.graph_core import (  # the old readers' helpers, for the references
+    LoadReport,
+    _check_vertex_count,
+    _int64,
+    _int_rows,
+    _kept_rows,
 )
 from shortcutforge.hopset_algos import HopsetEdges, HopsetParams
 from shortcutforge.shortcut_algos import ShortcutParams, ShortcutSet
@@ -138,6 +146,109 @@ def hop_limited_dist_by_full_rounds(g: WeightedDigraph, beta: int) -> DistanceMa
         dist[lo : lo + chunk] = block
     dist.setflags(write=False)
     return DistanceMatrix(n, dist)
+
+
+def _tokenize(text: str) -> Iterator[tuple[int, list[str]]]:
+    """The readers' tokenizer before they shared one parser."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            yield lineno, body.split()
+
+
+def load_edge_list_by_lines(text: str) -> LoadReport:
+    """load_edge_list before one parser served both readers: a loop over
+    _tokenize's lines with one int() call per field."""
+    lines = _tokenize(text)
+    try:
+        lineno, header = next(lines)
+    except StopIteration:
+        raise ValueError("empty edge-list input") from None
+    if len(header) not in (2, 3):
+        raise ValueError(f"line {lineno}: header must be 'n m' or 'n m W'")
+    try:
+        nums = [int(t) for t in header]
+    except ValueError:
+        raise ValueError(f"line {lineno}: non-integer header field") from None
+    weighted = len(nums) == 3
+    declared_n = n = nums[0]
+    m = nums[1]
+    w_cap = nums[2] if weighted else None
+    _check_vertex_count(n)
+    if m < 0 or (weighted and w_cap < 1):
+        raise ValueError(f"line {lineno}: bad header values")
+
+    rows: list[tuple[int, ...]] = []
+    want = 3 if weighted else 2
+    for lineno, toks in lines:
+        if len(toks) != want:
+            raise ValueError(f"line {lineno}: expected {want} fields, got {len(toks)}")
+        try:
+            vals = tuple(int(t) for t in toks)
+        except ValueError:
+            raise ValueError(f"line {lineno}: non-integer field") from None
+        if weighted and not 1 <= vals[2] <= w_cap:
+            raise ValueError(f"line {lineno}: weight {vals[2]} outside [1, {w_cap}]")
+        rows.append(vals)
+    if len(rows) != m:
+        raise ValueError(f"header declares m={m} edges but file has {len(rows)}")
+
+    ids = {r[0] for r in rows} | {r[1] for r in rows}
+    id_map: dict[int, int] | None = None
+    if ids and not all(0 <= i < n for i in ids):
+        id_map = {orig: new for new, orig in enumerate(sorted(ids))}
+        rows = [(id_map[r[0]], id_map[r[1]], *r[2:]) for r in rows]
+        n = len(id_map)
+
+    arr = _int_rows(rows, want)
+    loops = arr[:, 0] == arr[:, 1]
+    arr = arr[~loops]
+    kept = arr[_kept_rows(n, arr, first_wins=True)]
+    graph = (WeightedDigraph if weighted else Digraph)(n, kept)
+    return LoadReport(graph, id_map, int(loops.sum()), len(arr) - len(kept), declared_n)
+
+
+def load_edge_rows_by_lines(text: str) -> tuple[int, np.ndarray]:
+    """load_edge_rows before one parser served both readers.
+
+    Parse an edge file as the shortcut and hopset subcommands write it.
+
+    Rows are "u v tag" or "u v w tag"; the tag column is optional so plain
+    edge lists read too.  Returns n and the header's m rows as an (m, 2) or
+    (m, 3) int array; every row has as many integer fields as the first.
+    """
+    lines = _tokenize(text)
+    try:
+        lineno, header = next(lines)
+    except StopIteration:
+        raise ValueError("empty edge file") from None
+    if len(header) < 2:
+        raise ValueError(f"line {lineno}: header must start with 'n m'")
+    try:
+        n, m = int(header[0]), int(header[1])
+    except ValueError:
+        raise ValueError(f"line {lineno}: non-integer header field") from None
+    flat: list[int] = []
+    width = 0
+    for lineno, toks in lines:
+        ints = []
+        for t in toks:
+            if t.isidentifier():  # a tag; cheaper to spot than a failed int()
+                break
+            try:
+                ints.append(int(t))
+            except ValueError:
+                break
+        if len(ints) not in (2, 3):
+            raise ValueError(f"line {lineno}: expected 'u v [w] [tag]'")
+        if width and len(ints) != width:
+            raise ValueError(f"line {lineno}: expected {width} integers, as on the first row")
+        width = len(ints)
+        flat.extend(ints)
+    rows = _int64(flat).reshape(-1, width or 2)
+    if len(rows) != m:
+        raise ValueError(f"header declares m={m} edges but file has {len(rows)}")
+    return n, rows
 
 
 def random_digraph(n: int, p: float, rng: np.random.Generator) -> Digraph:
@@ -429,6 +540,67 @@ class TestDistances:
         for u, v, w in wc.edges:
             assert w == dist[u, v]
 
+# Fields as int() reads them: signs, underscores, leading zeros, non-ASCII
+# digits, and values past int64.
+INT_FIELDS = st.one_of(
+    st.integers(-2, 9).map(str),
+    st.sampled_from([
+        "+1", "-0", "007", "1_0", "+2_2", "\u0663", "\uff11", "9223372036854775807",
+        "9223372036854775808", "-9223372036854775809", "100000000000000000000",
+    ]),
+)
+# Fields int() does not read: tags, and near misses of an int.
+OTHER_FIELDS = st.sampled_from([
+    "baseline", "tag", "_1", "1_", "1__0", "+", "-", "+-1", "1.5", "0x1", "\u00b2", "\ud800",
+])
+SPACES = st.sampled_from([" ", " ", "  ", "\t", "\xa0", "\x1f", "\u3000"])
+LINE_ENDS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x85", "\u2028"])
+
+
+@st.composite
+def edge_file_texts(draw) -> str:
+    """Edge files from random fields: headers right and wrong, rows of 2 or 3
+    ints with and without tags and trailing fields, bad rows, comments and
+    blank lines."""
+    width = draw(st.sampled_from([2, 3]))
+    small = st.integers(0, 9).map(str)
+    good = st.lists(st.one_of(small, small, small, INT_FIELDS), min_size=width, max_size=width)
+    row = st.one_of(
+        good,
+        good,
+        st.tuples(good, st.lists(OTHER_FIELDS, max_size=1)).map(lambda p: p[0] + p[1]),
+        st.tuples(good, st.lists(st.one_of(OTHER_FIELDS, INT_FIELDS), max_size=2)).map(
+            lambda p: p[0] + p[1]
+        ),
+        st.lists(st.one_of(INT_FIELDS, OTHER_FIELDS), max_size=5),
+    )
+    rows = draw(st.lists(row, max_size=7))
+    if draw(st.integers(0, 3)):
+        n = draw(st.sampled_from(["3", "5", "9", "9", "0", "-1", "5000"]))
+        m = str(len(rows) + draw(st.sampled_from([0, 0, 0, 0, 1, -1])))
+        w_cap = draw(st.sampled_from(["9", "9", "5", "0", "x"]))
+        header = [n, m] + ([w_cap] if width == 3 else []) + draw(st.sampled_from([[]] * 5 + [["tag"]]))
+    else:
+        header = draw(st.lists(st.one_of(INT_FIELDS, OTHER_FIELDS), max_size=4))
+    text = ""
+    for fields in [header, *rows]:
+        for _ in range(draw(st.integers(0, 1))):
+            text += draw(st.sampled_from(["", "  ", "# note", " # 1 2"])) + draw(LINE_ENDS)
+        text += draw(st.sampled_from(["", " "])) + draw(SPACES).join(fields)
+        text += draw(st.sampled_from(["", "", " ", "# c", " #1 2 3"])) + draw(LINE_ENDS)
+    return text
+
+
+def outcome(read, text: str):
+    """What ``read`` returns for ``text``, or the type and message it raises."""
+    try:
+        got = read(text)
+    except Exception as err:  # noqa: BLE001  (compared, not handled)
+        return type(err), str(err)
+    if isinstance(got, tuple):  # load_edge_rows: n and an int64 array
+        return got[0], got[1].dtype, got[1].shape, got[1].tolist()
+    return got
+
 
 class TestEdgeListIO:
     def test_roundtrip_unweighted(self):
@@ -468,6 +640,23 @@ class TestEdgeListIO:
     def test_errors_carry_line_context(self, text, fragment):
         with pytest.raises(ValueError, match=fragment):
             load_edge_list(text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(edge_file_texts())
+    @example("")
+    @example("# only comments\n\n")
+    @example("3 2 5\n0 1 5\n1 2 1\n")  # weights at both ends of [1, W]
+    @example("3 2 5\n0 1 0\n1 x\n0 1 2 3\n")  # several faults: the first line's is reported
+    @example("3 2\n0 1 tag 9\n0 1 2 tag\n1 x\n")
+    @example("2 1 100000000000000000000000\n0 1 99999999999999999999\n")
+    @example("2 9\n0 99999999999999999999 tag\n")
+    @example("4 3\n0 99999999999999999999\n99999999999999999999 -5\n-5 0\n")
+    @example("2 1\n0 " + "1" * 5000 + "\n")  # past int()'s limit on digits
+    @example("2 1\n0 1 " + "1" * 5000 + "\n")
+    @example("2 1\n\u0660 \u0661\u00a0tag\u2028")
+    def test_readers_agree_with_line_loops(self, text):
+        assert outcome(load_edge_list, text) == outcome(load_edge_list_by_lines, text)
+        assert outcome(load_edge_rows, text) == outcome(load_edge_rows_by_lines, text)
 
     def test_vertex_cap(self):
         with pytest.raises(ValueError):
