@@ -32,7 +32,6 @@ from .hopset_algos import (
     HopsetEdges,
     HopsetParams,
     NicePathCollection,
-    SubpathPartition,
     as_eps,
     build_hopset,
     geometric_ladder,
@@ -46,7 +45,6 @@ from .line_shortcut import PathShortcut, shortcut_path
 from .oracles import (
     Check,
     VerificationReport,
-    check_lb_properties,
     verify_hopset,
     verify_nice,
     verify_shortcut,
@@ -90,7 +88,6 @@ __all__ = [
     "HopsetEdges",
     "HopsetParams",
     "NicePathCollection",
-    "SubpathPartition",
     "as_eps",
     "build_hopset",
     "geometric_ladder",
@@ -103,7 +100,6 @@ __all__ = [
     "shortcut_path",
     "Check",
     "VerificationReport",
-    "check_lb_properties",
     "verify_hopset",
     "verify_nice",
     "verify_shortcut",

@@ -31,7 +31,6 @@ from .graph_core import Digraph, ReachabilityMatrix, check_acyclic, transitive_c
 class ChainDecomposition:
     chains: tuple[tuple[int, ...], ...]
     antichains: tuple[frozenset[int], ...]
-    target_ell: int
 
     def covered(self) -> list[int]:
         """All vertices listed once per appearance (for cover checks)."""
@@ -95,4 +94,4 @@ def decompose(dag: Digraph | ReachabilityMatrix, ell: int) -> ChainDecomposition
         frozenset(np.flatnonzero(level == lvl).tolist())
         for lvl in range(1, int(level.max()) + 1)
     )
-    return ChainDecomposition(tuple(chains), antichains, ell)
+    return ChainDecomposition(tuple(chains), antichains)

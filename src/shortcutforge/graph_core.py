@@ -160,7 +160,7 @@ class WeightedDigraph(_EdgeArray):
 
     @cached_property
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(src, tgt, weight) arrays sorted by (tgt, src) for relaxation kernels."""
+        """(src, tgt, weight) arrays sorted by (tgt, src) for the hop-limited DP."""
         u, v, w = self.array.T
         order = np.lexsort((u, v))
         return u[order], v[order], w[order].astype(np.float64)
@@ -268,14 +268,6 @@ def packed_reachability(bits: np.ndarray) -> ReachabilityMatrix:
     """A square bool reachability matrix as packed rows, one per vertex."""
     packed = np.packbits(bits, axis=1, bitorder="little")
     return ReachabilityMatrix(len(bits), packed, np.arange(len(bits)))
-
-
-@dataclass(frozen=True, eq=False)
-class DistanceMatrix:
-    """Exact distances; +inf marks unreachable, every finite entry is integral."""
-
-    n: int
-    dist: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -455,8 +447,11 @@ def scc_star_edges(g: Digraph, c: Condensation) -> np.ndarray:
     return star[~g.has_pairs(star)]
 
 
-def apsp(g: WeightedDigraph) -> DistanceMatrix:
-    """Exact all-pairs shortest-path weights (Dijkstra from every source)."""
+def apsp(g: WeightedDigraph) -> np.ndarray:
+    """Exact all-pairs shortest-path weights (Dijkstra from every source).
+
+    A read-only float64 n x n array; +inf marks unreachable pairs.
+    """
     n = g.n
     if n == 0:
         d = np.zeros((0, 0))
@@ -464,15 +459,13 @@ def apsp(g: WeightedDigraph) -> DistanceMatrix:
         d = np.full((n, n), np.inf)
         np.fill_diagonal(d, 0.0)
     else:
-        src, tgt, w = g.edge_arrays
-        mat = csr_matrix((w, (src, tgt)), shape=(n, n))
-        d = csgraph.dijkstra(mat)
-    d = np.asarray(d, dtype=np.float64)
+        u, v, w = g.array.T
+        d = csgraph.dijkstra(csr_matrix((w.astype(np.float64), (u, v)), shape=(n, n)))
     d.setflags(write=False)
-    return DistanceMatrix(n, d)
+    return d
 
 
-def hop_limited_dist(g: WeightedDigraph, beta: int) -> DistanceMatrix:
+def hop_limited_dist(g: WeightedDigraph, beta: int) -> np.ndarray:
     """Shortest distance over paths of at most ``beta`` edges, per source.
 
     Synchronous relaxation rounds (a DP over hop count), vectorized across
@@ -487,7 +480,7 @@ def hop_limited_dist(g: WeightedDigraph, beta: int) -> DistanceMatrix:
     np.fill_diagonal(dist, 0.0)
     if beta == 0 or not g.m or n == 0:
         dist.setflags(write=False)
-        return DistanceMatrix(n, dist)
+        return dist
 
     src, tgt, w = g.edge_arrays
     tgt_unique, starts = np.unique(tgt, return_index=True)
@@ -507,12 +500,12 @@ def hop_limited_dist(g: WeightedDigraph, beta: int) -> DistanceMatrix:
             live = live[changed]
             block[live, tgt_unique] = np.where(better[changed], reduced[changed], old[changed])
     dist.setflags(write=False)
-    return DistanceMatrix(n, dist)
+    return dist
 
 
 def weighted_closure(g: WeightedDigraph) -> WeightedDigraph:
     """Edge (u, v, dist(u, v)) for every finite reachable pair u != v."""
-    d = apsp(g).dist
+    d = apsp(g)
     mask = np.isfinite(d)
     np.fill_diagonal(mask, False)
     return WeightedDigraph(
@@ -575,14 +568,18 @@ def _parse_edge_text(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     line = np.searchsorted(np.flatnonzero(b == ord("\n")), starts) + 1
     first = np.flatnonzero(np.diff(line, prepend=0))  # each line's first field
     count = np.diff(first, append=len(starts))
+    lines = line[first]
+    del line  # per-field arrays set the peak memory, so each goes once used
     # A line's leading int fields end at the next other field, or at its end.
     next_other = np.minimum.accumulate(
         np.where(is_int, len(starts), np.arange(len(starts)))[::-1]
     )[::-1]
     ints = np.minimum(next_other[first], first + count) - first
+    del next_other, is_int
     taken = np.arange(3) < np.minimum(ints, 3)[:, None]
     fields = (first[:, None] + np.arange(3))[taken]
     s, e = starts[fields], ends[fields]
+    del starts, ends, fields
     # numpy reads fields of up to 18 characters, which fit int64, with int()
     # in one call; longer ones, as ids past int64 are, are read one by one.
     size = e - s
@@ -595,7 +592,7 @@ def _parse_edge_text(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     picked[~short] = [int(body[i:j]) for i, j in zip(s[~short].tolist(), e[~short].tolist())]
     values = np.zeros(taken.shape, picked.dtype)
     values[taken] = picked
-    return line[first], count, ints, values
+    return lines, count, ints, values
 
 
 def load_edge_list(text: str) -> LoadReport:

@@ -27,13 +27,7 @@ import numpy as np
 
 from ._intmath import ceil_root, floor_root
 from ._seeds import SITE_GROUP_SAMPLE, SITE_VERTEX_SAMPLE, child_seed, sample_mask, site_rng
-from .graph_core import (
-    DistanceMatrix,
-    TaggedEdges,
-    WeightedDigraph,
-    apsp,
-    hop_limited_dist,
-)
+from .graph_core import TaggedEdges, WeightedDigraph, apsp, hop_limited_dist
 
 HOPSET_TAGS = ("induced_closure", "geometric_ladder")
 
@@ -44,7 +38,10 @@ def as_eps(eps: Fraction | str) -> Fraction:
     """Normalize the stretch knob to an exact Fraction in (0, 1)."""
     if isinstance(eps, float):
         raise TypeError("eps must be an exact rational (Fraction or 'p/q' string)")
-    frac = Fraction(eps)
+    try:
+        frac = Fraction(eps)
+    except ZeroDivisionError:
+        raise ValueError(f"eps {eps!r} has a zero denominator") from None
     if not 0 < frac < 1:
         raise ValueError(f"eps must lie in (0, 1), got {frac}")
     return frac
@@ -107,17 +104,6 @@ class NicePathCollection:
         return len(self.paths)
 
 
-@dataclass(frozen=True)
-class SubpathPartition:
-    """Per source path, contiguous subpaths covering its vertices."""
-
-    pieces: tuple[tuple[tuple[int, ...], ...], ...]
-    eps: Fraction
-
-    def flat(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(piece for per_path in self.pieces for piece in per_path)
-
-
 def _min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.empty_like(a)
     step = max(1, 4_000_000 // max(1, a.shape[1] ** 2))
@@ -135,7 +121,7 @@ def _hop_powers(base: np.ndarray, h: int) -> list[np.ndarray]:
 
 
 def _extract_nice_paths(
-    dist: DistanceMatrix, beta: int
+    d: np.ndarray, beta: int
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Greedy h-hop tight paths, h = beta // 12, least (dist, i, j) first.
 
@@ -155,17 +141,16 @@ def _extract_nice_paths(
       the walk back give the same answer on I(i, j) as on all alive vertices.
     """
     h = beta // MIN_HOPBOUND
-    d = dist.dist
     paths: list[tuple[int, ...]] = []
     weights: list[tuple[int, ...]] = []
-    if dist.n < h + 1:
+    if len(d) < h + 1:
         return paths, weights
     base = d.copy()
     np.fill_diagonal(base, np.inf)
     ii, jj = np.nonzero(np.isfinite(base) & (_hop_powers(base, h)[-1] == base))
     order = np.argsort(base[ii, jj], kind="stable")  # nonzero is (i, j)-sorted
 
-    alive = np.ones(dist.n, dtype=bool)
+    alive = np.ones(len(d), dtype=bool)
     for i, j in zip(ii[order].tolist(), jj[order].tolist()):
         if not (alive[i] and alive[j]):
             continue
@@ -211,8 +196,10 @@ def nice_collection(g: WeightedDigraph, beta: int) -> NicePathCollection:
     return NicePathCollection(paths, weights, beta)
 
 
-def partition_subpaths(q: NicePathCollection, eps: Fraction | str) -> SubpathPartition:
-    """Greedy prefix cuts: longest prefix of weight <= eps * len, bridge dropped."""
+def partition_subpaths(
+    q: NicePathCollection, eps: Fraction | str
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per path, greedy prefix cuts: longest prefix of weight <= eps * len, bridge dropped."""
     frac = as_eps(eps)
     num, den = frac.numerator, frac.denominator
     per_path: list[tuple[tuple[int, ...], ...]] = []
@@ -227,11 +214,11 @@ def partition_subpaths(q: NicePathCollection, eps: Fraction | str) -> SubpathPar
             pieces.append(verts[s : t + 1])
             s = t + 1
         per_path.append(tuple(pieces))
-    return SubpathPartition(tuple(per_path), frac)
+    return tuple(per_path)
 
 
 def geometric_ladder(
-    dist: DistanceMatrix,
+    dist: np.ndarray,
     sources: Sequence[int],
     subpaths: Sequence[Sequence[int]],
     eps: Fraction | str,
@@ -249,12 +236,12 @@ def geometric_ladder(
     lens = np.fromiter(map(len, subpaths), np.int64, len(subpaths))
     cols = np.full((len(lens), lens.max(initial=0)), -1, dtype=np.int64)  # -1 pads
     cols[np.arange(cols.shape[1]) < lens[:, None]] = np.fromiter(chain(*subpaths), np.int64)
-    top = int(dist.dist[np.isfinite(dist.dist)].max(initial=1))
+    top = int(dist[np.isfinite(dist)].max(initial=1))
     # the last rung's distance; 0 until the first, as u != v lie >= 1 apart
     cur = np.zeros((len(sources), len(lens)), np.int64 if (den + num) * top < 2**63 else object)
     hits = [np.empty((0, 4), dtype=np.int64)]
     for u in cols.T:
-        d = dist.dist[np.ix_(sources, u)]
+        d = dist[np.ix_(sources, u)]
         ok = (u >= 0) & (u != sources[:, None]) & np.isfinite(d)
         d = np.where(ok, d, 0).astype(np.int64)
         ok &= (cur == 0) | ((den + num) * d.astype(cur.dtype) < den * cur)
@@ -307,11 +294,11 @@ def hopset_small_hop(
 
     path_of = np.full(n, -1, dtype=np.int64)  # -1: on no nice path
     path_of[np.fromiter(chain(*q.paths), np.int64)] = np.repeat(np.arange(len(q)), q.hops + 1)
-    same = (path_of[:, None] == path_of) & (path_of >= 0)[:, None] & np.isfinite(dist.dist)
+    same = (path_of[:, None] == path_of) & (path_of >= 0)[:, None] & np.isfinite(dist)
     np.fill_diagonal(same, False)
-    closure = np.column_stack([np.argwhere(same), dist.dist[same].astype(np.int64)])
+    closure = np.column_stack([np.argwhere(same), dist[same].astype(np.int64)])
 
-    subpaths = partition_subpaths(q, half).flat()
+    subpaths = [*chain(*partition_subpaths(q, half))]
     p_samp = min(1.0, c * math.log(n) / beta)
     v_mask = sample_mask(seed, SITE_VERTEX_SAMPLE, n, p_samp)
     s_mask = sample_mask(seed, SITE_GROUP_SAMPLE, len(subpaths), p_samp)
@@ -355,8 +342,8 @@ def hopset_large_hop(
     r = max(1, floor_root(beta**4 // n, 3))
     while r**3 * n < beta**4:
         r += 1
-    full = apsp(g).dist
-    capped = hop_limited_dist(g, r).dist
+    full = apsp(g)
+    capped = hop_limited_dist(g, r)
     ix = np.ix_(sampled, sampled)
     keep = np.isfinite(full[ix]) & (capped[ix] == full[ix])
     np.fill_diagonal(keep, False)

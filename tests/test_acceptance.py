@@ -23,7 +23,6 @@ from shortcutforge.hopset_algos import (
 )
 from shortcutforge.line_shortcut import shortcut_path
 from shortcutforge.oracles import (
-    check_lb_properties,
     verify_hopset,
     verify_nice,
     verify_shortcut,
@@ -246,10 +245,12 @@ def test_criterion_09_vertex_split_transform():
     for k in (1, 2, 5):
         g = Digraph(d + 1, [(i, i + 1) for i in range(d)])
         gk, placement = subdivide(g, k)
-        full = [u for v in range(d + 1)
-                for u in range(placement[v][0], placement[v][1] + 1)]
-        path_ok &= check_lb_properties(gk, [tuple(full)],
-                                       min_path_length=k * d).ok
+        full = np.array([u for v in range(d + 1)
+                         for u in range(placement[v][0], placement[v][1] + 1)])
+        # a simple path of gk with at least k*d hops
+        path_ok &= bool(gk.has_pairs(np.column_stack([full[:-1], full[1:]])).all()
+                        and len(np.unique(full)) == len(full)
+                        and len(full) - 1 >= k * d)
     ok = good == 20 and path_ok
     emit(9, ok, f"{good}/20 graphs keep reachability and n*(k+1) vertices, "
                 f"scaled paths accepted: {path_ok}")

@@ -196,7 +196,7 @@ def reference_decompose(dag: Digraph | ReachabilityMatrix, ell: int) -> ChainDec
         for lvl in range(1, int(levels.max()) + 1):
             members = ids[levels == lvl]
             antichains.append(frozenset(int(v) for v in members))
-    return ChainDecomposition(tuple(chains), tuple(antichains), ell)
+    return ChainDecomposition(tuple(chains), tuple(antichains))
 
 
 @settings(max_examples=60, deadline=None)

@@ -92,6 +92,25 @@ def test_hopset_rejects_unweighted_input(tmp_path):
                "--seed", "0", "--out", str(tmp_path / "h.txt")) == 2
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["hopset", "--input", "g.txt", "--seed", "0", "--out", "h.txt"],
+        ["verify", "--graph", "g.txt", "--edges", "h.txt", "--mode", "hopset"],
+    ],
+)
+def test_zero_denominator_eps_exits_2(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    assert run("gen", "--family", "weighted_random", "--n", "20", "--p", "0.2",
+               "--W", "5", "--seed", "0", "--out", "g.txt") == 0
+    (tmp_path / "h.txt").write_text("20 0\n")
+    capsys.readouterr()
+    assert run(*command, "--beta", "12", "--eps", "1/0") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "zero denominator" in err
+    assert "Traceback" not in err
+
+
 def test_verify_failure_exits_1(tmp_path):
     g = tmp_path / "g.txt"
     h = tmp_path / "h.txt"

@@ -14,7 +14,6 @@ from shortcutforge import graph_core
 from shortcutforge.generators import GenSpec, generate, subdivide
 from shortcutforge.graph_core import (
     MAX_VERTICES,
-    DistanceMatrix,
     Digraph,
     WeightedDigraph,
     apsp,
@@ -116,7 +115,7 @@ def hop_dp_oracle(g: WeightedDigraph, beta: int) -> np.ndarray:
     return dist
 
 
-def hop_limited_dist_by_full_rounds(g: WeightedDigraph, beta: int) -> DistanceMatrix:
+def hop_limited_dist_by_full_rounds(g: WeightedDigraph, beta: int) -> np.ndarray:
     """hop_limited_dist before it relaxed only the rows the last round
     changed: every round copied and compared the whole block."""
     if beta < 0:
@@ -126,7 +125,7 @@ def hop_limited_dist_by_full_rounds(g: WeightedDigraph, beta: int) -> DistanceMa
     np.fill_diagonal(dist, 0.0)
     if beta == 0 or not g.m or n == 0:
         dist.setflags(write=False)
-        return DistanceMatrix(n, dist)
+        return dist
 
     src, tgt, w = g.edge_arrays
     tgt_unique, starts = np.unique(tgt, return_index=True)
@@ -145,7 +144,7 @@ def hop_limited_dist_by_full_rounds(g: WeightedDigraph, beta: int) -> DistanceMa
             block = new
         dist[lo : lo + chunk] = block
     dist.setflags(write=False)
-    return DistanceMatrix(n, dist)
+    return dist
 
 
 def _tokenize(text: str) -> Iterator[tuple[int, list[str]]]:
@@ -416,7 +415,7 @@ class TestClosure:
         rng = np.random.default_rng(13)
         for _ in range(20):
             g = random_digraph(20, 0.12, rng)
-            hops = hop_limited_dist(unit_weights(g), g.n).dist
+            hops = hop_limited_dist(unit_weights(g), g.n)
             for r in (1, 2, 3, 7):
                 got = bounded_reachability(g, r).rows()
                 want = hops <= r
@@ -495,19 +494,19 @@ class TestDistances:
         rng = np.random.default_rng(41)
         for _ in range(15):
             g = random_weighted(40, 0.1, 10, rng)
-            assert np.array_equal(apsp(g).dist, bellman_ford_oracle(g))
+            assert np.array_equal(apsp(g), bellman_ford_oracle(g))
 
     def test_hop_limited_against_dp(self):
         rng = np.random.default_rng(43)
         for _ in range(12):
             g = random_weighted(16, 0.2, 9, rng)
             for beta in (1, 2, 3, 5):
-                got = hop_limited_dist(g, beta).dist
+                got = hop_limited_dist(g, beta)
                 assert np.array_equal(got, hop_dp_oracle(g, beta)), f"beta={beta}"
 
     def test_hop_limit_converges_to_apsp(self):
         g = random_weighted(30, 0.15, 7, np.random.default_rng(47))
-        assert np.array_equal(hop_limited_dist(g, g.n).dist, apsp(g).dist)
+        assert np.array_equal(hop_limited_dist(g, g.n), apsp(g))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -521,8 +520,8 @@ class TestDistances:
     @example(n=12, p=0.0, w_max=9, beta=5, seed=0)  # edgeless
     def test_hop_limited_matches_full_rounds(self, n, p, w_max, beta, seed):
         g = random_weighted(n, p, w_max, np.random.default_rng(seed))
-        got = hop_limited_dist(g, beta).dist
-        assert np.array_equal(got, hop_limited_dist_by_full_rounds(g, beta).dist)
+        got = hop_limited_dist(g, beta)
+        assert np.array_equal(got, hop_limited_dist_by_full_rounds(g, beta))
         assert not got.flags.writeable
 
     def test_hop_limited_matches_full_rounds_across_chunks(self):
@@ -530,13 +529,13 @@ class TestDistances:
         g = random_weighted(300, 0.35, 10**6, np.random.default_rng(59))
         assert 8_000_000 // g.m < g.n
         for beta in (1, 3, 8):
-            got = hop_limited_dist(g, beta).dist
-            assert np.array_equal(got, hop_limited_dist_by_full_rounds(g, beta).dist)
+            got = hop_limited_dist(g, beta)
+            assert np.array_equal(got, hop_limited_dist_by_full_rounds(g, beta))
 
     def test_weighted_closure_weights_are_distances(self):
         g = random_weighted(20, 0.15, 6, np.random.default_rng(53))
         wc = weighted_closure(g)
-        dist = apsp(g).dist
+        dist = apsp(g)
         for u, v, w in wc.edges:
             assert w == dist[u, v]
 

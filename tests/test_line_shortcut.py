@@ -16,7 +16,7 @@ from shortcutforge.line_shortcut import shortcut_path
 def hop_diameter_along(path: list[int], extra: frozenset) -> int:
     edges = set(zip(path, path[1:])) | set(extra)
     g = Digraph(max(path) + 1, edges)
-    hops = hop_limited_dist(unit_weights(g), len(path)).dist
+    hops = hop_limited_dist(unit_weights(g), len(path))
     worst = 0
     for i, u in enumerate(path):
         for v in path[i + 1 :]:

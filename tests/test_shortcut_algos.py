@@ -50,7 +50,7 @@ def path_graph(n: int) -> Digraph:
 
 def hop_diameter(g: Digraph, extra) -> int:
     union = Digraph(g.n, set(g.edges) | set(extra))
-    hops = hop_limited_dist(unit_weights(union), g.n).dist
+    hops = hop_limited_dist(unit_weights(union), g.n)
     finite = np.isfinite(hops)
     np.fill_diagonal(finite, False)
     return int(hops[finite].max()) if finite.any() else 0
@@ -201,7 +201,7 @@ class TestSmallDiam:
             ]
             relabel = {v: i for i, v in enumerate(sorted(on_chain))}
             sub_g = Digraph(len(on_chain), [(relabel[u], relabel[v]) for u, v in sub])
-            hops = hop_limited_dist(unit_weights(sub_g), len(on_chain)).dist
+            hops = hop_limited_dist(unit_weights(sub_g), len(on_chain))
             for i, u in enumerate(chain):
                 for v in chain[i + 1 :]:
                     assert hops[relabel[u], relabel[v]] <= 2
@@ -379,7 +379,7 @@ class TestTcSpanner:
         g = path_graph(33)
         union = tc_spanner(g, 4, 3.0, seed=2)
         assert isinstance(union, ShortcutSet) and union.n == g.n
-        hops = hop_limited_dist(unit_weights(union), g.n).dist
+        hops = hop_limited_dist(unit_weights(union), g.n)
         for u, v in closure_pairs(g):
             assert hops[u, v] <= 4
 
@@ -389,7 +389,7 @@ class TestTcSpanner:
         union = tc_spanner(g, 3, 3.0, seed=6)
         ham = {(i, i + 1) for i in range(n - 1)}
         assert ham <= union.edges
-        hops = hop_limited_dist(unit_weights(union), n).dist
+        hops = hop_limited_dist(unit_weights(union), n)
         for u, v in closure_pairs(g):
             assert hops[u, v] <= 3
 
@@ -397,7 +397,7 @@ class TestTcSpanner:
         g = random_dag(128, 0.06, seed=8)
         union = tc_spanner(g, 5, 3.0, seed=8)
         assert closure_pairs(union) == closure_pairs(g)
-        hops = hop_limited_dist(unit_weights(union), g.n).dist
+        hops = hop_limited_dist(unit_weights(union), g.n)
         worst = max(hops[u, v] for u, v in closure_pairs(g))
         assert worst <= 5
 
@@ -413,7 +413,7 @@ class TestTcSpanner:
         g = Digraph(4 * rings, edges)
         union = tc_spanner(g, k, 3.0, seed=5)
         assert closure_pairs(union) == closure_pairs(g)
-        hops = hop_limited_dist(unit_weights(union), g.n).dist
+        hops = hop_limited_dist(unit_weights(union), g.n)
         for u, v in closure_pairs(g):
             limit = 2 if u // 4 == v // 4 else k + 2
             assert hops[u, v] <= limit
