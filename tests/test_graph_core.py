@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 from typing import Iterator
 
@@ -496,6 +497,24 @@ class TestDistances:
             g = random_weighted(40, 0.1, 10, rng)
             assert np.array_equal(apsp(g), bellman_ford_oracle(g))
 
+    @pytest.mark.parametrize(
+        "n, p", [(0, 0.0), (9, 0.0), (30, 0.15)], ids=["empty", "edgeless", "weighted"]
+    )
+    def test_apsp_returns_read_only_float_array(self, n, p):
+        g = random_weighted(n, p, 7, np.random.default_rng(71))
+        dist = apsp(g)
+        assert type(dist) is np.ndarray and dist.dtype == np.float64
+        assert dist.shape == (n, n) and not dist.flags.writeable
+        assert np.array_equal(dist, bellman_ford_oracle(g))
+
+    def test_zero_hops_reach_only_self(self):
+        g = random_weighted(10, 0.3, 5, np.random.default_rng(73))
+        assert g.m
+        dist = hop_limited_dist(g, 0)
+        want = np.full((10, 10), np.inf)
+        np.fill_diagonal(want, 0.0)
+        assert np.array_equal(dist, want) and not dist.flags.writeable
+
     def test_hop_limited_against_dp(self):
         rng = np.random.default_rng(43)
         for _ in range(12):
@@ -656,6 +675,23 @@ class TestEdgeListIO:
     def test_readers_agree_with_line_loops(self, text):
         assert outcome(load_edge_list, text) == outcome(load_edge_list_by_lines, text)
         assert outcome(load_edge_rows, text) == outcome(load_edge_rows_by_lines, text)
+
+    def test_reader_peak_memory_per_input_character(self):
+        # The parser drops each per-field array once it is used: its traced
+        # peak on "u v tag" rows is about 9 bytes per input character, and
+        # was about 13 while those arrays lived until it returned.
+        rng = np.random.default_rng(79)
+        uv = rng.integers(0, 4000, (20_000, 2)).tolist()
+        tags = rng.choice(["baseline", "chain_shortcut", "sampled_wiring"], 20_000).tolist()
+        text = "4000 20000\n" + "".join(f"{u} {v} {t}\n" for (u, v), t in zip(uv, tags))
+        tracemalloc.start()
+        try:
+            n, rows = load_edge_rows(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n == 4000 and rows.tolist() == uv
+        assert peak < 11 * len(text)
 
     def test_vertex_cap(self):
         with pytest.raises(ValueError):

@@ -207,6 +207,15 @@ class TestPartition:
         first = parts[0]
         assert first == ((0, 1), (2,))
 
+    def test_one_tuple_of_pieces_per_path(self):
+        q = nice_collection(random_weighted(48, 0.12, 7, 3), 36)
+        parts = partition_subpaths(q, EPS14)
+        assert type(parts) is tuple and len(parts) == len(q.paths) > 0
+        for pieces in parts:
+            assert type(pieces) is tuple and all(type(p) is tuple for p in pieces)
+        empty = nice_collection(WeightedDigraph(3, []), 36)
+        assert partition_subpaths(empty, EPS14) == ()
+
     def test_piece_budget(self):
         for seed in range(6):
             g = random_weighted(48, 0.12, 7, seed)
