@@ -13,8 +13,9 @@ import csv
 import io
 import sys
 import time
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
+from itertools import product
 from pathlib import Path
 
 from . import __version__
@@ -33,7 +34,13 @@ from .oracles import verify_hopset, verify_shortcut
 from .shortcut_algos import TAGS, build_shortcuts, folklore, tc_spanner
 
 SHORTCUT_MODES = ("auto", "small", "large", "folklore", "tcspanner")
-BENCH_ALGOS = ("folklore", "small_diam", "large_d", "hopset_small", "hopset_large")
+BENCH_ALGOS = {
+    "folklore": folklore,
+    "small_diam": partial(build_shortcuts, mode="small"),
+    "large_d": partial(build_shortcuts, mode="large"),
+    "hopset_small": hopset_small_hop,
+    "hopset_large": hopset_large_hop,
+}
 
 CSV_COLUMNS = (
     "algorithm",
@@ -54,6 +61,14 @@ CSV_COLUMNS = (
 )
 
 
+def positive_float(text: str) -> float:
+    """A --const or bench c= value: a finite number > 0."""
+    value = float(text)
+    if not 0 < value < float("inf"):  # false for nan too
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number > 0")
+    return value
+
+
 def _read_graph(path: str) -> Digraph | WeightedDigraph:
     report = load_edge_list(Path(path).read_text())
     if report.dropped_self_loops or report.dropped_duplicates:
@@ -62,8 +77,8 @@ def _read_graph(path: str) -> Digraph | WeightedDigraph:
             f" and {report.dropped_duplicates} duplicate edge(s)",
             file=sys.stderr,
         )
-    if report.id_map is not None:
-        originals = " ".join(map(str, sorted(report.id_map, key=report.id_map.get)))
+    if report.original_ids is not None:
+        originals = " ".join(map(str, report.original_ids))
         print(
             f"note: {path}: vertex ids renumbered, n={report.declared_n} ->"
             f" n={report.graph.n}; new ids follow the sorted order of the original ids;"
@@ -76,25 +91,18 @@ def _read_graph(path: str) -> Digraph | WeightedDigraph:
 def _cmd_gen(args: argparse.Namespace) -> int:
     spec = GenSpec(args.family, args.n, args.p, args.density, args.W, args.seed)
     g = generate(spec)
-    comments = [
-        f"shortcutforge gen --family {args.family} --n {args.n} --seed {args.seed}"
-    ]
-    if args.p is not None:
-        comments[0] += f" --p {args.p}"
-    if args.density is not None:
-        comments[0] += f" --density {args.density}"
-    if args.W is not None:
-        comments[0] += f" --W {args.W}"
+    comments = [f"shortcutforge gen --family {args.family} --n {args.n} --seed {args.seed}"]
+    for flag in ("p", "density", "W", "k"):
+        if getattr(args, flag) is not None:
+            comments[0] += f" --{flag} {getattr(args, flag)}"
     if args.k is not None:
         if isinstance(g, WeightedDigraph):
             raise ValueError("--k subdivision applies to unweighted families only")
-        comments[0] += f" --k {args.k}"
-        g, placement = subdivide(g, args.k)
+        g, _ = subdivide(g, args.k)  # the placement follows from k
         comments.append(
             "subdivided: original vertex v maps to copies "
             f"[v*{args.k + 1}, v*{args.k + 1}+{args.k}]"
         )
-        del placement  # reconstructible from k; kept out of the file format
     Path(args.out).write_text(dump_edge_list(g, comments))
     print(f"wrote {args.out} (n={g.n}, m={g.m})")
     return 0
@@ -104,6 +112,13 @@ def _as_digraph(g: Digraph | WeightedDigraph) -> Digraph:
     if isinstance(g, WeightedDigraph):
         return Digraph(g.n, g.array[:, :2])
     return g
+
+
+def _write_edges(out: str, hs, head: str) -> int:
+    summary = " ".join(f"{tag}={count}" for tag, count in hs.tag_counts.items())
+    Path(out).write_text(dump_edge_list(hs, [head, f"edge counts: {summary}"]))
+    print(f"wrote {out} ({len(hs)} edges)")
+    return 0
 
 
 def _cmd_shortcut(args: argparse.Namespace) -> int:
@@ -118,10 +133,7 @@ def _cmd_shortcut(args: argparse.Namespace) -> int:
         hs = folklore(g, args.diameter, args.const, seed=args.seed)
     else:
         hs = build_shortcuts(g, args.diameter, args.const, seed=args.seed, mode=args.mode)
-    summary = " ".join(f"{t}={hs.tag_counts[t]}" for t in TAGS)
-    Path(args.out).write_text(dump_edge_list(hs, [head, f"edge counts: {summary}"]))
-    print(f"wrote {args.out} ({len(hs)} edges)")
-    return 0
+    return _write_edges(args.out, hs, head)
 
 
 def _cmd_hopset(args: argparse.Namespace) -> int:
@@ -134,10 +146,7 @@ def _cmd_hopset(args: argparse.Namespace) -> int:
         f"shortcutforge hopset --beta {args.beta} --eps {eps}"
         f" --const {args.const} --seed {args.seed}"
     )
-    summary = " ".join(f"{t}={hs.tag_counts[t]}" for t in HOPSET_TAGS)
-    Path(args.out).write_text(dump_edge_list(hs, [head, f"edge counts: {summary}"]))
-    print(f"wrote {args.out} ({len(hs)} edges)")
-    return 0
+    return _write_edges(args.out, hs, head)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -186,22 +195,6 @@ def _cmd_decomp(args: argparse.Namespace) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class _BenchCell:
-    lineno: int
-    algorithm: str
-    family: str
-    n: int
-    p: float | None = None
-    density: float | None = None
-    W: int | None = None
-    d: int | None = None
-    beta: int | None = None
-    eps: Fraction | None = None
-    c: float = 3.0
-    seed: int = 0
-
-
 def _parse_seed_values(text: str) -> list[int]:
     if ":" in text:
         lo, hi = text.split(":", 1)
@@ -212,115 +205,77 @@ def _parse_seed_values(text: str) -> list[int]:
     return [int(t) for t in text.split(",")]
 
 
-def _parse_bench_config(text: str) -> list[_BenchCell]:
-    cells: list[_BenchCell] = []
+def _line_cells(lineno: int, body: str) -> list[tuple]:
+    """A bench line's cells: (lineno, algorithm, GenSpec, D or beta, eps, c)."""
+    fields: dict[str, str] = {}
+    for tok in body.split():
+        if "=" not in tok:
+            raise ValueError(f"expected key=value, got {tok!r}")
+        key, value = tok.split("=", 1)
+        if key in fields:
+            raise ValueError(f"duplicate key {key!r}")
+        fields[key] = value
+    known = {"algorithm", "family", "n", "p", "density", "W", "D", "beta", "eps", "c", "seeds"}
+    for key in fields:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r}")
+    for key in ("algorithm", "family", "n"):
+        if key not in fields:
+            raise ValueError(f"missing key {key!r}")
+    algorithm, family = fields["algorithm"], fields["family"]
+    if algorithm not in BENCH_ALGOS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    hopset = algorithm.startswith("hopset")
+    if hopset != (family == "weighted_random"):
+        wanted = "family=weighted_random" if hopset else "an unweighted family"
+        raise ValueError(f"{algorithm} needs {wanted}")
+    needs = ("beta", "eps") if hopset else ("D",)
+    if any(key not in fields for key in needs):
+        raise ValueError(f"{algorithm} needs " + " and ".join(f"{key}=" for key in needs))
+    n = int(fields["n"])
+    p = float(fields["p"]) if "p" in fields else None
+    density = float(fields["density"]) if "density" in fields else None
+    W = int(fields["W"]) if "W" in fields else None
+    knobs = [int(k) for k in fields[needs[0]].split(",")]
+    eps = Fraction(fields["eps"]) if hopset else None
+    cs = [positive_float(v) for v in fields.get("c", "3").split(",")]
+    seeds = _parse_seed_values(fields.get("seeds", "0"))
+    return [
+        (lineno, algorithm, GenSpec(family, n, p, density, W, seed), knob, eps, c)
+        for knob, c, seed in product(knobs, cs, seeds)
+    ]
+
+
+def _parse_bench_config(text: str) -> list[tuple]:
+    cells: list[tuple] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
-        fields: dict[str, str] = {}
-        for tok in body.split():
-            if "=" not in tok:
-                raise ValueError(f"config line {lineno}: expected key=value, got {tok!r}")
-            key, value = tok.split("=", 1)
-            if key in fields:
-                raise ValueError(f"config line {lineno}: duplicate key {key!r}")
-            fields[key] = value
-        known = {"algorithm", "family", "n", "p", "density", "W", "D", "beta", "eps", "c", "seeds"}
-        for key in fields:
-            if key not in known:
-                raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        try:
-            algorithm = fields["algorithm"]
-            family = fields["family"]
-            n = fields["n"]
-        except KeyError as missing:
-            raise ValueError(f"config line {lineno}: missing key {missing}") from None
-        if algorithm not in BENCH_ALGOS:
-            raise ValueError(f"config line {lineno}: unknown algorithm {algorithm!r}")
-        if family not in FAMILIES:
-            raise ValueError(f"config line {lineno}: unknown family {family!r}")
-        hopset = algorithm.startswith("hopset")
-        if hopset:
-            if family != "weighted_random":
-                raise ValueError(
-                    f"config line {lineno}: {algorithm} needs family=weighted_random"
-                )
-            if "beta" not in fields or "eps" not in fields:
-                raise ValueError(f"config line {lineno}: {algorithm} needs beta= and eps=")
-        else:
-            if family == "weighted_random":
-                raise ValueError(
-                    f"config line {lineno}: {algorithm} needs an unweighted family"
-                )
-            if "D" not in fields:
-                raise ValueError(f"config line {lineno}: {algorithm} needs D=")
-        try:
-            base = _BenchCell(
-                lineno,
-                algorithm,
-                family,
-                int(n),
-                p=float(fields["p"]) if "p" in fields else None,
-                density=float(fields["density"]) if "density" in fields else None,
-                W=int(fields["W"]) if "W" in fields else None,
-            )
-            knob_values = [int(k) for k in fields["beta" if hopset else "D"].split(",")]
-            eps = Fraction(fields["eps"]) if hopset else None
-            c_values = [float(v) for v in fields.get("c", "3").split(",")]
-            seeds = _parse_seed_values(fields.get("seeds", "0"))
-        except (ValueError, ZeroDivisionError) as err:
-            raise ValueError(f"config line {lineno}: {err}") from None
-        for knob in knob_values:
-            for c in c_values:
-                for seed in seeds:
-                    cells.append(
-                        replace(
-                            base,
-                            d=None if hopset else knob,
-                            beta=knob if hopset else None,
-                            eps=eps,
-                            c=c,
-                            seed=seed,
-                        )
-                    )
+        if body:
+            try:
+                cells += _line_cells(lineno, body)
+            except (ValueError, ZeroDivisionError, argparse.ArgumentTypeError) as err:
+                raise ValueError(f"config line {lineno}: {err}") from None
     return cells
 
 
-def _run_bench_cell(cell: _BenchCell) -> dict[str, object]:
-    spec = GenSpec(cell.family, cell.n, cell.p, cell.density, cell.W, cell.seed)
+def _run_bench_cell(algorithm: str, spec: GenSpec, knob: int, eps, c: float) -> dict:
     g = generate(spec)
-    row: dict[str, object] = {col: "" for col in CSV_COLUMNS}
-    row.update(
-        algorithm=cell.algorithm,
-        family=cell.family,
-        n=cell.n,
-        c=cell.c,
-        seed=cell.seed,
-    )
+    row: dict[str, object] = dict.fromkeys(CSV_COLUMNS, "")
+    row.update(algorithm=algorithm, family=spec.family, n=spec.n, c=c, seed=spec.seed)
+    params = (knob, c) if eps is None else (knob, eps, c)
     start = time.perf_counter()
-    if cell.algorithm == "folklore":
-        hs = folklore(g, cell.d, cell.c, seed=cell.seed)
-    elif cell.algorithm == "small_diam":
-        hs = build_shortcuts(g, cell.d, cell.c, seed=cell.seed, mode="small")
-    elif cell.algorithm == "large_d":
-        hs = build_shortcuts(g, cell.d, cell.c, seed=cell.seed, mode="large")
-    elif cell.algorithm == "hopset_small":
-        hs = hopset_small_hop(g, cell.beta, cell.eps, cell.c, seed=cell.seed)
-    else:
-        hs = hopset_large_hop(g, cell.beta, cell.eps, cell.c, seed=cell.seed)
+    hs = BENCH_ALGOS[algorithm](g, *params, seed=spec.seed)
     row["wall_ms"] = round((time.perf_counter() - start) * 1000.0, 1)
     row["edges_total"] = len(hs)
-    for tag, count in hs.tag_counts.items():
-        row[tag] = count
-    if cell.d is not None:
-        row["D"] = cell.d
-        report = verify_shortcut(g, hs, cell.d)
-        row["achieved_diameter"] = report.achieved_diameter
+    row.update(hs.tag_counts)
+    if eps is None:
+        row["D"] = knob
+        row["achieved_diameter"] = verify_shortcut(g, hs, knob).achieved_diameter
     else:
-        row["beta"] = cell.beta
-        row["eps"] = str(cell.eps)
-        report = verify_hopset(g, hs, cell.beta, cell.eps)
+        row.update(beta=knob, eps=str(eps))
+        report = verify_hopset(g, hs, knob, eps)
         row["achieved_hops"] = report.achieved_hops
         if report.achieved_stretch is not None:
             row["achieved_stretch"] = str(report.achieved_stretch)
@@ -332,8 +287,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)
     writer.writeheader()
-    for cell in cells:
-        writer.writerow(_run_bench_cell(cell))
+    for lineno, *cell in cells:
+        try:
+            writer.writerow(_run_bench_cell(*cell))
+        except ValueError as err:
+            raise ValueError(f"config line {lineno}: {err}") from None
     if args.out:
         Path(args.out).write_text(buf.getvalue())
         print(f"wrote {args.out} ({len(cells)} rows)")
@@ -364,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sc = sub.add_parser("shortcut", help="build a shortcut set")
     p_sc.add_argument("--input", required=True)
     p_sc.add_argument("--diameter", required=True, type=int)
-    p_sc.add_argument("--const", type=float, default=3.0)
+    p_sc.add_argument("--const", type=positive_float, default=3.0)
     p_sc.add_argument("--seed", required=True, type=int)
     p_sc.add_argument("--out", required=True)
     p_sc.add_argument("--mode", choices=SHORTCUT_MODES, default="auto")
@@ -374,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_hs.add_argument("--input", required=True)
     p_hs.add_argument("--beta", required=True, type=int)
     p_hs.add_argument("--eps", required=True, help="exact rational, e.g. 1/4")
-    p_hs.add_argument("--const", type=float, default=3.0)
+    p_hs.add_argument("--const", type=positive_float, default=3.0)
     p_hs.add_argument("--seed", required=True, type=int)
     p_hs.add_argument("--out", required=True)
     p_hs.set_defaults(func=_cmd_hopset)
@@ -407,9 +365,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as stop:
         return int(stop.code or 0)
     try:

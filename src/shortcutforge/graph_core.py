@@ -526,7 +526,7 @@ def unit_weights(g: Digraph) -> WeightedDigraph:
 @dataclass(frozen=True)
 class LoadReport:
     graph: Digraph | WeightedDigraph
-    id_map: dict[int, int] | None  # original id -> dense id; None if kept as-is
+    original_ids: tuple[int, ...] | None  # original id of each new id; None if kept as-is
     dropped_self_loops: int
     dropped_duplicates: int
     declared_n: int  # vertex count from the header, before any re-indexing
@@ -625,11 +625,11 @@ def load_edge_list(text: str) -> LoadReport:
         raise ValueError(f"header declares m={m} edges but file has {len(lines)}")
 
     uv = values[:, :2]
-    id_map: dict[int, int] | None = None
+    original_ids: tuple[int, ...] | None = None
     if ((uv < 0) | (uv >= n)).any():
         ids, new_ids = np.unique(uv, return_inverse=True)
         uv = new_ids.reshape(uv.shape)  # numpy 1.x returns it flat
-        id_map = dict(zip(ids.tolist(), range(len(ids))))
+        original_ids = tuple(ids.tolist())
         n = len(ids)
 
     arr = _int64(np.column_stack([uv, values[:, 2:want]]))
@@ -637,7 +637,7 @@ def load_edge_list(text: str) -> LoadReport:
     arr = arr[~loops]
     kept = arr[_kept_rows(n, arr, first_wins=True)]
     graph = (WeightedDigraph if want == 3 else Digraph)(n, kept)
-    return LoadReport(graph, id_map, int(loops.sum()), len(arr) - len(kept), declared_n)
+    return LoadReport(graph, original_ids, int(loops.sum()), len(arr) - len(kept), declared_n)
 
 
 def load_edge_rows(text: str) -> tuple[int, np.ndarray]:

@@ -88,7 +88,7 @@ class VerificationReport:
 
 
 def _edge_array(h, width: int) -> np.ndarray:
-    """Rows of h as an (m, width) int array in lexicographic order.
+    """Rows of h as an (m, width) int array, in h's order.
 
     h is an edge container (its ``array``, else its ``edges``) or a plain
     iterable or array of rows.
@@ -103,11 +103,13 @@ def _edge_array(h, width: int) -> np.ndarray:
         return rows.reshape(0, width)
     if rows.ndim != 2 or rows.shape[1] != width:
         raise ValueError(f"expected edge rows of {width} fields")
-    return rows[np.lexsort(rows.T[::-1])]
+    return rows
 
 
 def _first_row(rows: np.ndarray, mask: np.ndarray) -> tuple | None:
-    return tuple(rows[np.argmax(mask)].tolist()) if mask.any() else None
+    """The lexicographically least row where mask holds, or None."""
+    bad = rows[mask]
+    return tuple(bad[np.lexsort(bad.T[::-1])[0]].tolist()) if len(bad) else None
 
 
 def _bfs_hops(n: int, edges: np.ndarray) -> np.ndarray:

@@ -111,6 +111,27 @@ def test_zero_denominator_eps_exits_2(tmp_path, monkeypatch, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("const", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["shortcut", "--diameter", "4"],
+        ["hopset", "--beta", "24", "--eps", "1/4"],
+    ],
+)
+def test_const_must_be_finite_and_positive(tmp_path, monkeypatch, capsys, command, const):
+    monkeypatch.chdir(tmp_path)
+    assert run("gen", "--family", "weighted_random", "--n", "60", "--p", "0.1",
+               "--W", "20", "--seed", "0", "--out", "g.txt") == 0
+    capsys.readouterr()
+    assert run(*command, "--input", "g.txt", "--const", const, "--seed", "0",
+               "--out", "h.txt") == 2
+    err = capsys.readouterr().err
+    assert f"argument --const: {const!r}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "h.txt").exists()
+
+
 def test_verify_failure_exits_1(tmp_path):
     g = tmp_path / "g.txt"
     h = tmp_path / "h.txt"
@@ -278,6 +299,10 @@ class TestBench:
             ("algorithm=hopset_small family=weighted_random n=8 beta=12 eps=1/0\n", 1),
             ("algorithm=small_diam family=random_dag n=64 p=0.15 D=4 seeds=0:1\n"
              "algorithm=small_diam family=random_dag n=64 p=0.15 D=4 seeds=5:5\n", 2),
+            ("algorithm=small_diam family=random_dag n=64 p=0.15 D=4 c=0\n", 1),
+            ("# fine\nalgorithm=small_diam family=random_dag n=64 p=0.15 D=4 c=3,nan\n", 2),
+            # Fails while it runs, after its first cell ran.
+            ("# fine\nalgorithm=small_diam family=random_dag n=64 p=0.15 D=4,5\n", 2),
         ],
     )
     def test_config_errors_carry_line_numbers(self, tmp_path, capsys, line, lineno):
@@ -285,7 +310,7 @@ class TestBench:
         cfg.write_text(line)
         assert run("bench", "--config", str(cfg)) == 2
         err = capsys.readouterr().err
-        assert f"line {lineno}" in err
+        assert err.startswith(f"error: config line {lineno}: ")
 
     def test_median_small_beats_folklore(self, tmp_path):
         cfg = tmp_path / "bench.cfg"

@@ -111,3 +111,26 @@ def test_cli_outputs_match_pinned_digests(tmp_path, capsys, monkeypatch):
             data = (tmp_path / name).read_bytes()
         got[name] = hashlib.sha256(data).hexdigest()
     assert got == EXPECTED
+
+
+# Every bench algorithm, comma grids of D, beta and c, and seed ranges.
+BENCH_CONFIG = """\
+algorithm=folklore family=random_digraph n=40 density=1.5 D=4,6 c=0.5 seeds=0:2
+algorithm=small_diam family=random_dag n=64 p=0.15 D=4 c=0.2,3 seeds=1
+algorithm=large_d family=grid_dag n=100 D=10 c=2 seeds=0,2
+algorithm=hopset_small family=weighted_random n=30 p=0.2 W=8 beta=12 eps=1/4 seeds=1
+algorithm=hopset_large family=weighted_random n=40 p=0.15 W=8 beta=16,24 eps=1/3 c=2 seeds=0:2
+"""
+
+BENCH_EXPECTED = "6389fcd9fd5be6110943fe123da5c154a2ab8f112465c4876ee06f7494d2ae03"
+
+
+def test_bench_csv_matches_pinned_digest(tmp_path):
+    # wall_ms, the last column, is a timing and the only column left out.
+    (tmp_path / "bench.cfg").write_text(BENCH_CONFIG)
+    out = tmp_path / "rows.csv"
+    assert main(["bench", "--config", str(tmp_path / "bench.cfg"), "--out", str(out)]) == 0
+    lines = out.read_bytes().splitlines(keepends=True)
+    assert len(lines) == 14 and lines[0].endswith(b",wall_ms\r\n")
+    data = b"".join(line[: line.rindex(b",")] + b"\r\n" for line in lines)
+    assert hashlib.sha256(data).hexdigest() == BENCH_EXPECTED

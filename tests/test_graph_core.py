@@ -194,9 +194,10 @@ def load_edge_list_by_lines(text: str) -> LoadReport:
         raise ValueError(f"header declares m={m} edges but file has {len(rows)}")
 
     ids = {r[0] for r in rows} | {r[1] for r in rows}
-    id_map: dict[int, int] | None = None
+    original_ids: tuple[int, ...] | None = None
     if ids and not all(0 <= i < n for i in ids):
-        id_map = {orig: new for new, orig in enumerate(sorted(ids))}
+        original_ids = tuple(sorted(ids))
+        id_map = {orig: new for new, orig in enumerate(original_ids)}
         rows = [(id_map[r[0]], id_map[r[1]], *r[2:]) for r in rows]
         n = len(id_map)
 
@@ -205,7 +206,7 @@ def load_edge_list_by_lines(text: str) -> LoadReport:
     arr = arr[~loops]
     kept = arr[_kept_rows(n, arr, first_wins=True)]
     graph = (WeightedDigraph if weighted else Digraph)(n, kept)
-    return LoadReport(graph, id_map, int(loops.sum()), len(arr) - len(kept), declared_n)
+    return LoadReport(graph, original_ids, int(loops.sum()), len(arr) - len(kept), declared_n)
 
 
 def load_edge_rows_by_lines(text: str) -> tuple[int, np.ndarray]:
@@ -626,7 +627,7 @@ class TestEdgeListIO:
         text = dump_edge_list(g, comments=["roundtrip check"])
         report = load_edge_list(text)
         assert report.graph.edges == g.edges
-        assert report.id_map is None
+        assert report.original_ids is None
 
     def test_roundtrip_weighted(self):
         g = random_weighted(10, 0.3, 8, np.random.default_rng(67))
@@ -635,7 +636,7 @@ class TestEdgeListIO:
 
     def test_reindexes_sparse_ids(self):
         report = load_edge_list("3 2\n10 20\n20 30\n")
-        assert report.id_map == {10: 0, 20: 1, 30: 2}
+        assert report.original_ids == (10, 20, 30)
         assert report.graph.edges == frozenset({(0, 1), (1, 2)})
 
     def test_drops_self_loops_and_duplicates(self):

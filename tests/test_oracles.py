@@ -72,6 +72,12 @@ class TestVerifyShortcut:
         assert status_of(report, "diameter_at_most_target") == "fail"
         assert report.achieved_diameter == 8
 
+    def test_witness_is_least_faulty_row(self):
+        g = Digraph(4, [(0, 1), (2, 3)])
+        report = verify_shortcut(g, [(2, 1), (0, 1), (3, 0), (1, 0), (0, 3)], 4)
+        bad = next(c for c in report.checks if c.name == "closure_membership")
+        assert bad.witness == (0, 3)
+
 
 class TestVerifyHopset:
     def test_clean_pass(self):
@@ -92,6 +98,12 @@ class TestVerifyHopset:
         report = verify_hopset(g, frozenset({(0, 2, 4)}), 12, EPS14)
         assert status_of(report, "weight_exactness") == "fail"
         assert status_of(report, "lower_side_exact") == "fail"
+
+    def test_witness_is_least_faulty_row(self):
+        g = WeightedDigraph(3, [(0, 1, 2), (1, 2, 3)])
+        report = verify_hopset(g, [(1, 2, 9), (0, 2, 5), (0, 1, 7), (2, 0, 1)], 12, EPS14)
+        bad = next(c for c in report.checks if c.name == "weight_exactness")
+        assert bad.witness == (0, 1, 7)
 
     def test_hop_starved_union_breaks_upper_side(self):
         n = 40
