@@ -264,19 +264,17 @@ class ReachabilityMatrix:
         return bool(self.packed[self.row_of[u], col >> 3] >> (col & 7) & 1)
 
 
-def packed_reachability(bits: np.ndarray) -> ReachabilityMatrix:
-    """A square bool reachability matrix as packed rows, one per vertex."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    return ReachabilityMatrix(len(bits), packed, np.arange(len(bits)))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Condensation:
-    """SCC contraction; component ids form a topological numbering of dag."""
+    """SCC contraction; component ids form a topological numbering of dag.
+
+    ``component_of``: each vertex's component; ``rep``: each component's
+    smallest vertex, its representative.  Both are read-only int64 arrays.
+    """
 
     dag: Digraph
-    component_of: tuple[int, ...]
-    representatives: tuple[tuple[int, ...], ...]
+    component_of: np.ndarray
+    rep: np.ndarray
 
 
 def transitive_closure(g: Digraph) -> ReachabilityMatrix:
@@ -292,7 +290,7 @@ def transitive_closure(g: Digraph) -> ReachabilityMatrix:
         dag, row_of = g, np.arange(g.n)
     else:
         cond = condense(g)
-        dag, row_of = cond.dag, np.array(cond.component_of, dtype=np.int64)
+        dag, row_of = cond.dag, cond.component_of
     k = dag.n
     ids = np.arange(k)
     rows = np.zeros((k, -(-k // 8)), dtype=np.uint8)
@@ -304,15 +302,15 @@ def transitive_closure(g: Digraph) -> ReachabilityMatrix:
     return ReachabilityMatrix(g.n, rows, row_of)
 
 
-def closure_digraph(reach: ReachabilityMatrix) -> Digraph:
-    """The closure as a plain digraph (off-diagonal reachable pairs)."""
-    mask = reach.rows()
+def closure_digraph(reach: np.ndarray) -> Digraph:
+    """The off-diagonal pairs of a square bool relation, as a plain digraph."""
+    mask = np.array(reach, dtype=bool)
     np.fill_diagonal(mask, False)
-    return Digraph(reach.n, np.argwhere(mask))
+    return Digraph(len(mask), np.argwhere(mask))
 
 
-def bounded_reachability(g: Digraph, hops: int) -> ReachabilityMatrix:
-    """Pairs joined by a path of at most ``hops`` edges, one packed row per vertex.
+def bounded_reachability(g: Digraph, hops: int) -> np.ndarray:
+    """Read-only n x n bool matrix: u reaches v by a path of at most ``hops`` edges.
 
     One hop-limited breadth-first search per source in scipy's C code; no
     BLAS call, so no thread pool is left running.
@@ -320,7 +318,9 @@ def bounded_reachability(g: Digraph, hops: int) -> ReachabilityMatrix:
     if hops < 0:
         raise ValueError("hop bound must be >= 0")
     adj = csr_matrix((np.ones(g.m), (g.array[:, 0], g.array[:, 1])), shape=(g.n, g.n))
-    return packed_reachability(np.isfinite(csgraph.dijkstra(adj, unweighted=True, limit=hops)))
+    reach = np.isfinite(csgraph.dijkstra(adj, unweighted=True, limit=hops))
+    reach.setflags(write=False)
+    return reach
 
 
 def check_acyclic(reach: ReachabilityMatrix) -> None:
@@ -422,17 +422,14 @@ def condense(g: Digraph) -> Condensation:
                 low[parent] = min(low[parent], low[v])
 
     # Tarjan completes SCCs in reverse topological order; flip the ids.
-    comp = [n_comps - 1 - c for c in comp]
-    members: list[list[int]] = [[] for _ in range(n_comps)]
-    for v in range(n):
-        members[comp[v]].append(v)
-    cu, cv = np.array(comp, dtype=np.int64)[g.array.T]
+    component_of = n_comps - 1 - np.array(comp, dtype=np.int64)
+    rep = np.unique(component_of, return_index=True)[1]
+    component_of.setflags(write=False)
+    rep.setflags(write=False)
+    cu, cv = component_of[g.array.T]
     cross = cu != cv
-    return Condensation(
-        dag=Digraph(n_comps, np.column_stack([cu[cross], cv[cross]])),
-        component_of=tuple(comp),
-        representatives=tuple(tuple(ms) for ms in members),
-    )
+    dag = Digraph(n_comps, np.column_stack([cu[cross], cv[cross]]))
+    return Condensation(dag, component_of, rep)
 
 
 def scc_star_edges(g: Digraph, c: Condensation) -> np.ndarray:
@@ -441,7 +438,7 @@ def scc_star_edges(g: Digraph, c: Condensation) -> np.ndarray:
     Edges already present in g are skipped; at most 2*(n - #SCCs) rows of
     an (m, 2) int array.
     """
-    rep = np.array([ms[0] for ms in c.representatives], np.int64)[list(c.component_of)]
+    rep = c.rep[c.component_of]
     v = np.flatnonzero(rep != np.arange(g.n))
     star = np.concatenate([np.column_stack([v, rep[v]]), np.column_stack([rep[v], v])])
     return star[~g.has_pairs(star)]
@@ -453,14 +450,8 @@ def apsp(g: WeightedDigraph) -> np.ndarray:
     A read-only float64 n x n array; +inf marks unreachable pairs.
     """
     n = g.n
-    if n == 0:
-        d = np.zeros((0, 0))
-    elif not g.m:
-        d = np.full((n, n), np.inf)
-        np.fill_diagonal(d, 0.0)
-    else:
-        u, v, w = g.array.T
-        d = csgraph.dijkstra(csr_matrix((w.astype(np.float64), (u, v)), shape=(n, n)))
+    u, v, w = g.array.T
+    d = csgraph.dijkstra(csr_matrix((w.astype(np.float64), (u, v)), shape=(n, n)))
     d.setflags(write=False)
     return d
 
@@ -478,10 +469,6 @@ def hop_limited_dist(g: WeightedDigraph, beta: int) -> np.ndarray:
     n = g.n
     dist = np.full((n, n), np.inf)
     np.fill_diagonal(dist, 0.0)
-    if beta == 0 or not g.m or n == 0:
-        dist.setflags(write=False)
-        return dist
-
     src, tgt, w = g.edge_arrays
     tgt_unique, starts = np.unique(tgt, return_index=True)
     # Source rows are independent; chunk them so the (rows x m) candidate

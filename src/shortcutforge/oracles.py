@@ -90,12 +90,9 @@ class VerificationReport:
 def _edge_array(h, width: int) -> np.ndarray:
     """Rows of h as an (m, width) int array, in h's order.
 
-    h is an edge container (its ``array``, else its ``edges``) or a plain
-    iterable or array of rows.
+    h is an edge container (its ``array``) or a plain iterable or array of rows.
     """
-    items = getattr(h, "array", None)
-    if items is None:
-        items = getattr(h, "edges", h)
+    items = getattr(h, "array", h)
     rows = np.asarray(
         items if isinstance(items, np.ndarray) else list(items), dtype=np.int64
     )
@@ -113,11 +110,6 @@ def _first_row(rows: np.ndarray, mask: np.ndarray) -> tuple | None:
 
 
 def _bfs_hops(n: int, edges: np.ndarray) -> np.ndarray:
-    if n == 0 or not len(edges):
-        out = np.full((n, n), np.inf)
-        if n:
-            np.fill_diagonal(out, 0.0)
-        return out
     mat = csr_matrix(
         (np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n)
     )
@@ -127,8 +119,6 @@ def _bfs_hops(n: int, edges: np.ndarray) -> np.ndarray:
 def apsp(g: WeightedDigraph) -> np.ndarray:
     """Exact all-pairs distances: scipy Dijkstra from every source."""
     n = g.n
-    if n == 0:
-        return np.zeros((0, 0))
     u, v, w = g.array.T
     mat = csr_matrix((w.astype(np.float64), (u, v)), shape=(n, n))
     return csgraph.dijkstra(mat)

@@ -28,7 +28,6 @@ from .graph_core import (
     closure_digraph,
     condense,
     is_acyclic,
-    packed_reachability,
     scc_star_edges,
     transitive_closure,
     transitive_reduction,
@@ -155,8 +154,7 @@ def shortcut_large_d(
     r = max(1, floor_root(d**3 // n, 2))
     while r * r * n < d**3:
         r += 1
-    within = bounded_reachability(g, r).rows(sampled)[:, sampled]
-    sub = closure_digraph(packed_reachability(within))
+    sub = closure_digraph(bounded_reachability(g, r)[np.ix_(sampled, sampled)])
 
     d_sub = max(3, int(n_sub ** (1.0 / 3.0) / math.log(n)))
     inner = shortcut_small_diam(sub, d_sub, c, seed=child_seed(seed))
@@ -168,9 +166,9 @@ def build_shortcuts(
 ) -> ShortcutSet:
     """Condense, run the regime picked by d vs n^(1/3), and lift the result.
 
-    Lifted output = condensation-level shortcuts mapped through component
-    representatives (keeping their tags) plus the two-way representative
-    stars, tagged "lifted".
+    Lifted output = condensation-level shortcuts mapped through each
+    component's representative, ``rep`` (keeping their tags), plus the
+    two-way representative stars, tagged "lifted".
     """
     if mode not in ("auto", "small", "large"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -187,8 +185,7 @@ def build_shortcuts(
             inner = shortcut_small_diam(dag, d, c, seed=seed)
         else:
             inner = shortcut_large_d(dag, d, c, seed=seed)
-        reps = np.array([members[0] for members in cond.representatives])
-        lifted = reps[inner.array]
+        lifted = cond.rep[inner.array]
         fresh = ~g.has_pairs(lifted)
         rows.append(lifted[fresh])
         tags.append(inner.tags[fresh])
@@ -210,10 +207,10 @@ def tc_spanner(g: Digraph, k: int, c: float = 3.0, *, seed: int) -> ShortcutSet:
     if k < 3:
         raise ValueError(f"hop target must be >= 3, got {k}")
     cond = condense(g)
-    reps = np.array([members[0] for members in cond.representatives], np.int64)
-    parts = [reps[transitive_reduction(cond.dag).array]]
-    for members in cond.representatives:  # each is sorted; close it into a ring
-        if len(members) >= 2:
+    parts = [cond.rep[transitive_reduction(cond.dag).array]]
+    order = np.argsort(cond.component_of, kind="stable")  # each SCC's members, sorted
+    for members in np.split(order, np.flatnonzero(np.diff(cond.component_of[order])) + 1):
+        if len(members) >= 2:  # close them into a ring
             parts.append(np.column_stack([members, np.roll(members, -1)]))
     base = Digraph(g.n, np.concatenate(parts))
     h = build_shortcuts(base, k, c, seed=seed)

@@ -1,6 +1,7 @@
-"""Acceptance suite: ten checks covering soundness, size bounds, decomposition
+"""Acceptance suite: eleven checks covering soundness, size bounds, decomposition
 invariants, statistical diameter/stretch targets, the vertex-split transform,
-and end-to-end determinism. Each test prints one pass/fail line."""
+end-to-end determinism, and a hop-deep hopset that the empty set cannot pass.
+Each test prints one pass/fail line."""
 
 from __future__ import annotations
 
@@ -14,7 +15,12 @@ import numpy as np
 from shortcutforge.chain_decomp import decompose
 from shortcutforge.cli import main
 from shortcutforge.generators import GenSpec, generate, subdivide
-from shortcutforge.graph_core import Digraph, transitive_closure
+from shortcutforge.graph_core import (
+    Digraph,
+    WeightedDigraph,
+    transitive_closure,
+    weighted_closure,
+)
 from shortcutforge.hopset_algos import (
     build_hopset,
     hopset_large_hop,
@@ -292,3 +298,27 @@ def test_criterion_10_pipeline_determinism(tmp_path):
     same = first == second
     emit(10, same, f"{len(first)} files byte-identical across two runs of 5 seeds")
     assert same
+
+
+def test_criterion_11_hop_deep_hopset():
+    # A 12 x 25 grid DAG with seeded weights in [1, 1000]: hop-deep, so the
+    # empty set misses the (24, 1/4) target, and its weighted closure is far
+    # larger than a hopset needs.  generate() takes no W for grid_dag, so
+    # the weights are drawn here.
+    beta, passed, empty_failed, sizes = 24, 0, 0, []
+    grid = generate(GenSpec("grid_dag", 300))
+    for seed in range(5):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        weights = rng.integers(1, 1001, size=grid.m)
+        g = WeightedDigraph(grid.n, np.column_stack([grid.array, weights]))
+        h = hopset_small_hop(g, beta, EPS, c=3.0, seed=seed)
+        passed += verify_hopset(g, h, beta, EPS).ok
+        empty_failed += not verify_hopset(g, (), beta, EPS).ok
+        sizes.append((len(h), weighted_closure(g).m))
+    small = all(size < closure for size, closure in sizes)
+    ok = passed == 5 and empty_failed == 5 and small
+    emit(11, ok, f"{passed}/5 sandwiched at 24 hops, empty set fails {empty_failed}/5, "
+                 f"|H| vs closure {sizes}")
+    assert passed == 5
+    assert empty_failed == 5
+    assert small

@@ -179,6 +179,22 @@ def test_gen_subdivide(tmp_path):
     assert header.split() == ["12", "11"]
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--family", "random_dag", "--n", "1000000", "--p", "0.000001"],
+        ["--family", "weighted_random", "--n", "200000", "--p", "0.01", "--W", "5"],
+        ["--family", "path", "--n", "10", "--k", "1000000000000"],
+    ],
+)
+def test_gen_above_vertex_ceiling_exits_2(tmp_path, capsys, flags):
+    out = tmp_path / "g.txt"
+    assert run("gen", *flags, "--seed", "0", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: vertex count ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_decomp_prints_chains(tmp_path, capsys):
     g = tmp_path / "g.txt"
     assert run("gen", "--family", "path", "--n", "16", "--seed", "0",
@@ -303,6 +319,7 @@ class TestBench:
             ("# fine\nalgorithm=small_diam family=random_dag n=64 p=0.15 D=4 c=3,nan\n", 2),
             # Fails while it runs, after its first cell ran.
             ("# fine\nalgorithm=small_diam family=random_dag n=64 p=0.15 D=4,5\n", 2),
+            ("algorithm=folklore family=random_dag n=1000000 p=0.000001 D=8\n", 1),
         ],
     )
     def test_config_errors_carry_line_numbers(self, tmp_path, capsys, line, lineno):

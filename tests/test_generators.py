@@ -74,6 +74,24 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(spec)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GenSpec("random_dag", 10**6, p=1e-6),
+            GenSpec("random_digraph", 10**6, p=1e-6),
+            GenSpec("path", 10**6),
+            GenSpec("layered", 10**6, p=1e-6),
+            GenSpec("grid_dag", 10**6),
+            GenSpec("weighted_random", 10**6, p=1e-6, W=5),
+        ],
+        ids=lambda spec: spec.family,
+    )
+    def test_vertex_ceiling_checked_before_any_array(self, spec):
+        # Each family's arrays are O(n) or O(n^2) in n; at n = 10^6 the
+        # quadratic ones would ask for hundreds of GiB.
+        with pytest.raises(ValueError, match="^vertex count 1000000 exceeds the supported"):
+            generate(spec)
+
 
 class TestSubdivide:
     def test_single_edge_k1(self):
@@ -129,6 +147,11 @@ class TestSubdivide:
         assert gk.has_pairs(np.column_stack([full[:-1], full[1:]])).all()
         assert len(np.unique(full)) == len(full)
         assert len(full) - 1 >= k * d
+
+    def test_vertex_ceiling_checked_before_any_array(self):
+        path = Digraph(10, [(i, i + 1) for i in range(9)])
+        with pytest.raises(ValueError, match="^vertex count 10000000000010 exceeds the supported"):
+            subdivide(path, 10**12)
 
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):

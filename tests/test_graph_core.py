@@ -20,6 +20,7 @@ from shortcutforge.graph_core import (
     apsp,
     bounded_reachability,
     check_acyclic,
+    closure_digraph,
     condense,
     dump_edge_list,
     hop_limited_dist,
@@ -419,7 +420,7 @@ class TestClosure:
             g = random_digraph(20, 0.12, rng)
             hops = hop_limited_dist(unit_weights(g), g.n)
             for r in (1, 2, 3, 7):
-                got = bounded_reachability(g, r).rows()
+                got = bounded_reachability(g, r)
                 want = hops <= r
                 assert np.array_equal(got, want), f"radius {r}"
 
@@ -435,17 +436,34 @@ class TestClosure:
         for g in graphs:
             for r in range(0, 41):
                 want = bounded_reachability_by_powers(g, r)
-                assert np.array_equal(bounded_reachability(g, r).rows(), want), (g, r)
+                got = bounded_reachability(g, r)
+                assert type(got) is np.ndarray and got.dtype == bool, (g, r)
+                assert got.shape == (g.n, g.n) and not got.flags.writeable, (g, r)
+                assert np.array_equal(got, want), (g, r)
         with pytest.raises(ValueError, match="hop bound must be >= 0"):
             bounded_reachability(graphs[0], -1)
 
     def test_bounded_reachability_monotone_in_radius(self):
         g = random_digraph(25, 0.08, np.random.default_rng(3))
-        prev = bounded_reachability(g, 1).rows()
+        prev = bounded_reachability(g, 1)
         for r in (2, 4, 9):
-            cur = bounded_reachability(g, r).rows()
+            cur = bounded_reachability(g, r)
             assert (prev <= cur).all()
             prev = cur
+
+
+def test_closure_digraph_keeps_exactly_the_off_diagonal_pairs():
+    # A non-transitive relation: no closure is taken, and the input is
+    # left as it was.
+    rel = np.zeros((5, 5), dtype=bool)
+    for u, v in [(0, 1), (1, 2), (2, 0), (3, 3), (4, 1), (0, 0)]:
+        rel[u, v] = True
+    rel.setflags(write=False)
+    g = closure_digraph(rel)
+    assert g.n == 5
+    assert g.array.tolist() == [[0, 1], [1, 2], [2, 0], [4, 1]]
+    assert rel[0, 0] and rel[3, 3]
+    assert closure_digraph(np.zeros((0, 0), dtype=bool)) == Digraph(0)
 
 
 class TestCondense:
@@ -461,7 +479,7 @@ class TestCondense:
         g = Digraph(18, edges)
         cond = condense(g)
         assert cond.dag.n == g.n
-        assert all(len(m) == 1 for m in cond.representatives)
+        assert (np.bincount(cond.component_of) == 1).all()
         # dag ids are topological: every edge goes low -> high
         assert all(a < b for a, b in cond.dag.edges)
 
@@ -477,6 +495,20 @@ class TestCondense:
                     assert (cond.component_of[u] == cond.component_of[v]) == bool(
                         same[u, v]
                     )
+
+    def test_arrays_are_read_only_with_least_representatives(self):
+        rng = np.random.default_rng(29)
+        for n in (0, 1, 2, 15, 30):
+            for p in (0.0, 0.05, 0.15):
+                g = random_digraph(n, p, rng)
+                cond = condense(g)
+                comp, rep = cond.component_of, cond.rep
+                for arr in (comp, rep):
+                    assert arr.dtype == np.int64 and not arr.flags.writeable
+                assert comp.shape == (n,) and rep.shape == (cond.dag.n,)
+                assert np.array_equal(comp[rep], np.arange(cond.dag.n))
+                for c in range(cond.dag.n):
+                    assert rep[c] == np.flatnonzero(comp == c).min()
 
     def test_two_cycles_and_bridge(self):
         # 0-1-2 cycle -> 3 -> 4-5-6 cycle

@@ -74,9 +74,12 @@ def tc_spanner_parts(g: Digraph, k: int, c: float, seed: int) -> tuple[Digraph, 
     if k < 3:
         raise ValueError(f"hop target must be >= 3, got {k}")
     cond = condense(g)
-    reps = np.array([members[0] for members in cond.representatives], np.int64)
+    members_of: list[list[int]] = [[] for _ in range(cond.dag.n)]
+    for v, comp in enumerate(cond.component_of.tolist()):
+        members_of[comp].append(v)
+    reps = np.array([members[0] for members in members_of], np.int64)
     parts = [reps[transitive_reduction(cond.dag).array]]
-    for members in cond.representatives:  # each is sorted; close it into a ring
+    for members in members_of:  # each is sorted; close it into a ring
         if len(members) >= 2:
             parts.append(np.column_stack([members, np.roll(members, -1)]))
     base = Digraph(g.n, np.concatenate(parts))
@@ -113,7 +116,7 @@ class TestFirstIncoming:
     def test_matches_linear_scan(self):
         g = random_dag(64, 0.08, seed=11)
         closure = transitive_closure(g)
-        chains = decompose(closure_digraph(closure), 16).chains
+        chains = decompose(closure_digraph(closure.rows()), 16).chains
         want = set()
         for v in range(g.n):
             for chain in chains:
@@ -190,7 +193,7 @@ class TestSmallDiam:
         g = random_dag(125, 0.05, seed=17)
         d = 5
         hs = shortcut_small_diam(g, d, 3.0, seed=17)
-        closure = closure_digraph(transitive_closure(g))
+        closure = closure_digraph(transitive_closure(g).rows())
         ell = min(g.n, -(-16 * g.n // d))
         chains = decompose(closure, ell).chains
         edge_set = set(hs.edges)
