@@ -6,16 +6,16 @@ split the residue into antichains by Mirsky levels.  Peeled chains each carry
 at least the threshold's worth of vertices, so the peeling provably stops
 well inside the budget and the residue has fewer than ceil(2n/ell) levels.
 
-Each peel is one level sweep: Kahn rounds over the alive vertices, one array
-row sum per round, give every vertex its level, the vertex count of the
-longest alive path ending there.  The chain is walked back from the
-smallest-id vertex on the top level, taking the smallest-id predecessor one
-level down at each step; the residue's levels are its antichains.
-
-Callers that want chains of the reachability order rather than of the raw
-edge set pass the closure itself as a ReachabilityMatrix; its rows, unpacked
-with the diagonal cleared, then serve as the edges.  Antichain independence
-is always relative to the edges of whatever was passed.
+A vertex is alive until peeled; its level is the alive-vertex count of the
+best DAG path ending there.  The DAG's topological generations are computed
+once, and each generation's levels are one ``np.maximum.reduceat`` over its
+in-edges: ``alive + max(pred levels)`` when chains follow the closure (peeled
+vertices pass levels through), ``alive * (1 + max(pred levels))`` when they
+follow the edges (peeled vertices block).  After a peel only the generations
+from the chain's first vertex on are redone.  The chain is walked back from
+the smallest-id vertex on the top alive level, taking the smallest-id alive
+predecessor (closure ancestor or in-neighbour) one level down at each step;
+the residue's alive levels are its antichains.
 """
 
 from __future__ import annotations
@@ -39,59 +39,69 @@ class ChainDecomposition:
         return out
 
 
-def _levels(adj: np.ndarray, alive: np.ndarray) -> np.ndarray:
-    """Vertices on the longest alive path ending at each alive vertex, else 0.
-
-    Kahn rounds over the alive vertices: round k takes every vertex whose
-    alive predecessors were all taken in earlier rounds, which is level k.
-    """
-    level = np.zeros(len(alive), dtype=np.int64)
-    indeg = adj[alive].sum(axis=0, dtype=np.int32)
-    indeg[~alive] = -1
-    frontier = np.flatnonzero(indeg == 0)
-    depth = 0
+def _generations(dag: Digraph) -> np.ndarray:
+    """Edges on the longest path ending at each vertex of an acyclic dag."""
+    src, dst = dag.array.T
+    succ = np.split(dst, np.searchsorted(src, np.arange(1, dag.n)))
+    indeg = np.bincount(dst, minlength=dag.n)
+    gen = np.zeros(dag.n, dtype=np.int64)
+    frontier, depth = np.flatnonzero(indeg == 0), 0
     while frontier.size:
-        depth += 1
-        level[frontier] = depth
+        gen[frontier] = depth
         indeg[frontier] = -1
-        indeg -= adj[frontier].sum(axis=0, dtype=np.int32)
-        frontier = np.flatnonzero(indeg == 0)
-    return level
+        indeg -= np.bincount(np.concatenate([succ[v] for v in frontier]), minlength=dag.n)
+        frontier, depth = np.flatnonzero(indeg == 0), depth + 1
+    return gen
 
 
-def decompose(dag: Digraph | ReachabilityMatrix, ell: int) -> ChainDecomposition:
+def decompose(
+    dag: Digraph, ell: int, closure: ReachabilityMatrix | None = None
+) -> ChainDecomposition:
     """(ell, 2n/ell)-decomposition: <= ell chains, <= ceil(2n/ell) antichains.
 
-    A ReachabilityMatrix must be a transitive closure (reflexive and
-    transitive); it is then used as the closure without recomputing it.
+    ``closure``, if given, must be ``dag``'s own transitive closure; chains
+    then follow the reachability order instead of the DAG's edges.
     """
     n = dag.n
     if not 1 <= ell <= n:
         raise ValueError(f"ell={ell} outside [1, n={n}]")
-    if isinstance(dag, ReachabilityMatrix):
-        check_acyclic(dag)
-        adj = dag.rows()
-        np.fill_diagonal(adj, False)
-    else:
-        check_acyclic(transitive_closure(dag))
-        adj = dag.adjacency
+    passes = closure is not None  # peeled vertices pass levels through
+    check_acyclic(closure if passes else transitive_closure(dag))
+    pred = closure.rows() if passes else dag.adjacency  # read by the walk back
+    if passes:
+        np.fill_diagonal(pred, False)
+
+    # Per generation: its vertices, their in-edges' sources, each one's first in-edge.
+    gen = _generations(dag)
+    src, dst = dag.array[np.lexsort((dag.array[:, 1], gen[dag.array[:, 1]]))].T
+    steps = [(np.flatnonzero(gen == 0), src[:0], None)]
+    cuts = np.searchsorted(gen[dst], np.arange(2, gen.max() + 1))
+    for srcs, dsts in zip(np.split(src, cuts), np.split(dst, cuts)):
+        starts = np.flatnonzero(np.diff(dsts, prepend=-1))
+        steps.append((dsts[starts], srcs, starts))
+
+    alive = np.ones(n, dtype=np.int64)
+    level = np.zeros(n, dtype=np.int64)
+
+    def sweep(start: int) -> np.ndarray:
+        for verts, srcs, starts in steps[start:]:
+            best = np.maximum.reduceat(level[srcs], starts) if srcs.size else 0
+            level[verts] = alive[verts] + best if passes else alive[verts] * (best + 1)
+        return level * alive
 
     threshold = -(-2 * n // ell)
-    alive = np.ones(n, dtype=bool)
     chains: list[tuple[int, ...]] = []
-    level = _levels(adj, alive)
-    while len(chains) < ell and level.max() >= threshold:
-        # Smallest-id end on the top level, then smallest-id predecessor one
-        # level down at each step back.
-        rev = [int(np.argmax(level))]
-        for lvl in range(int(level[rev[0]]) - 1, 0, -1):
-            rev.append(int(np.argmax(adj[:, rev[-1]] & (level == lvl))))
+    alive_level = sweep(0)
+    while len(chains) < ell and alive_level.max() >= threshold:
+        rev = [int(np.argmax(alive_level))]
+        for lvl in range(int(alive_level[rev[0]]) - 1, 0, -1):
+            rev.append(int(np.argmax(pred[:, rev[-1]] & (alive_level == lvl))))
         chains.append(tuple(reversed(rev)))
-        alive[rev] = False
-        level = _levels(adj, alive)
+        alive[rev] = 0
+        alive_level = sweep(int(gen[rev[-1]]))
 
     antichains = tuple(
-        frozenset(np.flatnonzero(level == lvl).tolist())
-        for lvl in range(1, int(level.max()) + 1)
+        frozenset(np.flatnonzero(alive_level == lvl).tolist())
+        for lvl in range(1, int(alive_level.max()) + 1)
     )
     return ChainDecomposition(tuple(chains), antichains)

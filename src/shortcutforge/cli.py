@@ -187,7 +187,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_decomp(args: argparse.Namespace) -> int:
     g = _as_digraph(_read_graph(args.input))
-    decomp = decompose(transitive_closure(g) if args.closure else g, args.ell)
+    decomp = decompose(g, args.ell, transitive_closure(g) if args.closure else None)
     for chain in decomp.chains:
         print("chain: " + " ".join(map(str, chain)))
     for anti in decomp.antichains:

@@ -50,6 +50,21 @@ def _edge_prob(spec: GenSpec, pair_count_per_vertex: float) -> float:
     return min(1.0, spec.density / pair_count_per_vertex)
 
 
+def _coin_pairs(rng: np.random.Generator, n: int, p: float, forward: bool) -> np.ndarray:
+    """Row-major (u, v) pairs whose coin falls below p: u < v if forward, else u != v.
+
+    Coins are drawn about 2**20 pairs at a time; successive draws continue one
+    stream, so the result equals one draw over all pairs, in a fraction of the memory.
+    """
+    ids, step, blocks = np.arange(n), max(1, 2**20 // n), []
+    for lo in range(0, n, step):
+        rows = ids[lo : lo + step, None]
+        u, v = np.nonzero(ids > rows if forward else ids != rows)
+        hit = rng.random(len(u)) < p
+        blocks.append(np.column_stack([u[hit] + lo, v[hit]]))
+    return np.concatenate(blocks)
+
+
 def generate(spec: GenSpec) -> Digraph | WeightedDigraph:
     if spec.family not in FAMILIES:
         raise ValueError(f"unknown family {spec.family!r}")
@@ -84,9 +99,7 @@ def generate(spec: GenSpec) -> Digraph | WeightedDigraph:
     if spec.family == "random_dag":
         p = _edge_prob(spec, (n - 1) / 2)
         perm = rng.permutation(n)
-        idx = np.triu_indices(n, k=1)
-        mask = rng.random(len(idx[0])) < p
-        return Digraph(n, np.column_stack([perm[idx[0][mask]], perm[idx[1][mask]]]))
+        return Digraph(n, perm[_coin_pairs(rng, n, p, forward=True)])
 
     if spec.family == "layered":
         p = _edge_prob(spec, max(1.0, n / max(1, int(np.ceil(np.sqrt(n))))))
@@ -102,10 +115,7 @@ def generate(spec: GenSpec) -> Digraph | WeightedDigraph:
         return Digraph(n, edges)
 
     # random_digraph and weighted_random share the all-ordered-pairs model.
-    p = _edge_prob(spec, float(n - 1))
-    src, tgt = np.where(~np.eye(n, dtype=bool))
-    mask = rng.random(len(src)) < p
-    pairs = np.column_stack([src[mask], tgt[mask]])
+    pairs = _coin_pairs(rng, n, _edge_prob(spec, float(n - 1)), forward=False)
     if spec.family == "random_digraph":
         return Digraph(n, pairs)
     weights = rng.integers(1, spec.W + 1, size=len(pairs))

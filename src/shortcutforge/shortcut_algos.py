@@ -109,7 +109,7 @@ def shortcut_small_diam(
         raise ValueError(f"diameter target {d} outside [3, {small_diam_limit(n)}]")
     closure = transitive_closure(g)
     ell = min(n, -(-16 * n // d))
-    decomp = decompose(closure, ell)
+    decomp = decompose(g, ell, closure)
 
     pairs: list[tuple[int, int]] = []
     for chain in decomp.chains:

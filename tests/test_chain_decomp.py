@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shortcutforge.chain_decomp import ChainDecomposition, decompose
@@ -81,7 +81,7 @@ def test_closure_input_gives_order_independent_antichains():
     for _ in range(20):
         g = random_dag(48, float(rng.uniform(0.03, 0.2)), rng)
         reach = transitive_closure(g)
-        d = decompose(closure_digraph(reach.rows()), 12)
+        d = decompose(g, 12, reach)
         assert_valid(closure_digraph(reach.rows()), 12, d)
         for anti in d.antichains:
             members = sorted(anti)
@@ -90,9 +90,13 @@ def test_closure_input_gives_order_independent_antichains():
                     assert not reach.has(u, v) and not reach.has(v, u)
 
 
+CYCLE_MESSAGE = "^input must be acyclic; 1 and 2 lie on a cycle$"  # both modes
+CYCLIC = Digraph(5, [(3, 0), (0, 1), (1, 4), (4, 2), (2, 1)])
+
+
 def test_cyclic_input_rejected():
-    with pytest.raises(ValueError, match="cycle"):
-        decompose(Digraph(3, [(0, 1), (1, 2), (2, 0)]), 2)
+    with pytest.raises(ValueError, match=CYCLE_MESSAGE):
+        decompose(CYCLIC, 2)
 
 
 def test_closure_matrix_matches_closure_graph():
@@ -101,13 +105,31 @@ def test_closure_matrix_matches_closure_graph():
         g = random_dag(48, float(rng.uniform(0.03, 0.2)), rng)
         reach = transitive_closure(g)
         for ell in (1, 5, 12, 48):
-            assert decompose(reach, ell) == decompose(closure_digraph(reach.rows()), ell)
+            assert decompose(g, ell, reach) == decompose(closure_digraph(reach.rows()), ell)
 
 
 def test_cyclic_closure_matrix_rejected():
-    reach = transitive_closure(Digraph(3, [(0, 1), (1, 2), (2, 0)]))
-    with pytest.raises(ValueError, match="cycle"):
-        decompose(reach, 2)
+    with pytest.raises(ValueError, match=CYCLE_MESSAGE):
+        decompose(CYCLIC, 2, transitive_closure(CYCLIC))
+
+
+# 4 reaches 5 only through 1, which the first chain (0, 1, 2, 3) peels.
+THROUGH_PEELED = Digraph(6, [(0, 1), (1, 2), (2, 3), (4, 1), (1, 5)])
+
+
+def test_closure_chains_pass_through_peeled_vertices():
+    g = THROUGH_PEELED
+    both = decompose(g, 6, transitive_closure(g))
+    assert both.chains == ((0, 1, 2, 3), (4, 5)) and both.antichains == ()
+    raw = decompose(g, 6)
+    assert raw.chains == ((0, 1, 2, 3),) and raw.antichains == (frozenset({4, 5}),)
+    # ell=3: threshold 4 stops after one chain, and 5 is one level above 4
+    # only when the peeled 1 passes its level through
+    assert decompose(g, 3, transitive_closure(g)).antichains == (
+        frozenset({4}),
+        frozenset({5}),
+    )
+    assert decompose(g, 3).antichains == (frozenset({4, 5}),)
 
 
 @pytest.mark.parametrize("ell", [0, -1, 11])
@@ -199,16 +221,20 @@ def reference_decompose(dag: Digraph | ReachabilityMatrix, ell: int) -> ChainDec
     return ChainDecomposition(tuple(chains), tuple(antichains))
 
 
+@st.composite
+def dags_with_ell(draw) -> tuple[Digraph, int]:
+    n = draw(st.integers(min_value=1, max_value=40))
+    p = draw(st.floats(min_value=0.0, max_value=0.5))
+    g = random_dag(n, p, np.random.default_rng(draw(st.integers(0, 10**6))))
+    return g, draw(st.integers(min_value=1, max_value=n))
+
+
 @settings(max_examples=60, deadline=None)
-@given(
-    n=st.integers(min_value=1, max_value=40),
-    p=st.floats(min_value=0.0, max_value=0.5),
-    seed=st.integers(min_value=0, max_value=10**6),
-    data=st.data(),
-)
-def test_matches_per_vertex_reference(n, p, seed, data):
-    g = random_dag(n, p, np.random.default_rng(seed))
+@given(case=dags_with_ell())
+@example(case=(THROUGH_PEELED, 6))  # closure chain (4, 5) passes through 1
+@example(case=(THROUGH_PEELED, 3))  # raw residue keeps 4 and 5 on one level
+def test_matches_per_vertex_reference(case):
+    g, ell = case
     reach = transitive_closure(g)
-    ell = data.draw(st.integers(min_value=1, max_value=n))
-    for x in (g, reach):
-        assert decompose(x, ell) == reference_decompose(x, ell)
+    assert decompose(g, ell) == reference_decompose(g, ell)
+    assert decompose(g, ell, reach) == reference_decompose(reach, ell)

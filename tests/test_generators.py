@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,36 @@ class TestGenerate:
         # quadratic ones would ask for hundreds of GiB.
         with pytest.raises(ValueError, match="^vertex count 1000000 exceeds the supported"):
             generate(spec)
+
+    @pytest.mark.parametrize("family", ["random_dag", "random_digraph", "weighted_random"])
+    def test_block_draws_equal_one_draw_over_all_pairs(self, family):
+        # n = 1500 takes three blocks of rows; the one-shot draw is the
+        # generator's former code.
+        n, p, seed = 1500, 0.002, 5
+        spec = GenSpec(family, n, p=p, W=7 if family == "weighted_random" else None, seed=seed)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        if family == "random_dag":
+            perm = rng.permutation(n)
+            idx = np.triu_indices(n, k=1)
+            mask = rng.random(len(idx[0])) < p
+            want = np.column_stack([perm[idx[0][mask]], perm[idx[1][mask]]])
+        else:
+            src, tgt = np.where(~np.eye(n, dtype=bool))
+            mask = rng.random(len(src)) < p
+            want = np.column_stack([src[mask], tgt[mask]])
+            if family == "weighted_random":
+                want = np.column_stack([want, rng.integers(1, 8, size=len(want))])
+        assert generate(spec).edges == frozenset(map(tuple, want.tolist()))
+
+    def test_all_pairs_draw_peak_memory(self):
+        # One draw over all n(n-1) ordered pairs peaked at 400 MiB here.
+        tracemalloc.start()
+        try:
+            g = generate(GenSpec("random_digraph", 4096, p=0.0005, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.m > 0 and peak < 64 * 2**20
 
 
 class TestSubdivide:

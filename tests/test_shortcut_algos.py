@@ -12,7 +12,6 @@ from shortcutforge.line_shortcut import shortcut_path
 from shortcutforge.graph_core import (
     Digraph,
     check_acyclic,
-    closure_digraph,
     condense,
     hop_limited_dist,
     is_acyclic,
@@ -116,7 +115,7 @@ class TestFirstIncoming:
     def test_matches_linear_scan(self):
         g = random_dag(64, 0.08, seed=11)
         closure = transitive_closure(g)
-        chains = decompose(closure_digraph(closure.rows()), 16).chains
+        chains = decompose(g, 16, closure).chains
         want = set()
         for v in range(g.n):
             for chain in chains:
@@ -193,9 +192,8 @@ class TestSmallDiam:
         g = random_dag(125, 0.05, seed=17)
         d = 5
         hs = shortcut_small_diam(g, d, 3.0, seed=17)
-        closure = closure_digraph(transitive_closure(g).rows())
         ell = min(g.n, -(-16 * g.n // d))
-        chains = decompose(closure, ell).chains
+        chains = decompose(g, ell, transitive_closure(g)).chains
         edge_set = set(hs.edges)
         for chain in chains:
             on_chain = set(chain)
@@ -215,7 +213,7 @@ class TestSmallDiam:
             d = 5
             hs = shortcut_small_diam(g, d, 3.0, seed=seed)
             ell = min(g.n, -(-16 * g.n // d))
-            chains = decompose(transitive_closure(g), ell).chains
+            chains = decompose(g, ell, transitive_closure(g)).chains
             assert chains
             bound = sum(len(c) - 1 + shortcut_path(c).size_bound for c in chains)
             assert 0 < hs.tag_counts["path_shortcut"] <= bound
