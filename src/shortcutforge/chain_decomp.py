@@ -14,7 +14,8 @@ vertices pass levels through), ``alive * (1 + max(pred levels))`` when they
 follow the edges (peeled vertices block).  After a peel only the generations
 from the chain's first vertex on are redone.  The chain is walked back from
 the smallest-id vertex on the top alive level, taking the smallest-id alive
-predecessor (closure ancestor or in-neighbour) one level down at each step;
+predecessor one level down at each step: a closure ancestor, read from the
+closure's unpacked rows, or an in-neighbour, read from the sorted in-edges;
 the residue's alive levels are its antichains.
 """
 
@@ -67,13 +68,17 @@ def decompose(
         raise ValueError(f"ell={ell} outside [1, n={n}]")
     passes = closure is not None  # peeled vertices pass levels through
     check_acyclic(closure if passes else transitive_closure(dag))
-    pred = closure.rows() if passes else dag.adjacency  # read by the walk back
-    if passes:
+    if passes:  # closure ancestors, read by the walk back
+        pred = closure.rows()
         np.fill_diagonal(pred, False)
 
     # Per generation: its vertices, their in-edges' sources, each one's first in-edge.
     gen = _generations(dag)
     src, dst = dag.array[np.lexsort((dag.array[:, 1], gen[dag.array[:, 1]]))].T
+    # Each vertex's in-edges, a run of dst with ascending sources: src[lo[v]:hi[v]].
+    firsts = np.flatnonzero(np.diff(dst, prepend=-1))
+    lo, hi = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    lo[dst[firsts]], hi[dst[firsts]] = firsts, np.append(firsts[1:], len(dst))
     steps = [(np.flatnonzero(gen == 0), src[:0], None)]
     cuts = np.searchsorted(gen[dst], np.arange(2, gen.max() + 1))
     for srcs, dsts in zip(np.split(src, cuts), np.split(dst, cuts)):
@@ -95,7 +100,11 @@ def decompose(
     while len(chains) < ell and alive_level.max() >= threshold:
         rev = [int(np.argmax(alive_level))]
         for lvl in range(int(alive_level[rev[0]]) - 1, 0, -1):
-            rev.append(int(np.argmax(pred[:, rev[-1]] & (alive_level == lvl))))
+            if passes:
+                rev.append(int(np.argmax(pred[:, rev[-1]] & (alive_level == lvl))))
+            else:
+                ins = src[lo[rev[-1]]:hi[rev[-1]]]
+                rev.append(int(ins[np.argmax(alive_level[ins] == lvl)]))
         chains.append(tuple(reversed(rev)))
         alive[rev] = 0
         alive_level = sweep(int(gen[rev[-1]]))

@@ -140,14 +140,6 @@ class _EdgeArray:
 class Digraph(_EdgeArray):
     """Unweighted digraph; no self-loops, no duplicate edges."""
 
-    @cached_property
-    def adjacency(self) -> np.ndarray:
-        """Read-only boolean n x n adjacency matrix."""
-        a = np.zeros((self.n, self.n), dtype=bool)
-        a[self.array[:, 0], self.array[:, 1]] = True
-        a.setflags(write=False)
-        return a
-
 
 class WeightedDigraph(_EdgeArray):
     """Digraph with integer weights >= 1; at most one weight per (u, v)."""

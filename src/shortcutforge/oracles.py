@@ -9,9 +9,13 @@ its check.  Edge sets are duck typed (an edge container or a plain iterable
 of rows) for the same reason.
 
 The hop-limited kernel is a different algorithm from the constructions'
-round-by-round DP.  ``apsp`` is not: both it and ``graph_core.apsp`` call
-scipy's Dijkstra on a CSR matrix, so a fault in scipy would show on both
-sides.  The test suite cross-checks ``apsp`` against networkx's Dijkstra.
+round-by-round DP: (min, +) squaring whose products recompute only the
+entries still above their floor, the union's exact all-hops distance, and
+which stops once none is left.  ``verify_hopset`` passes G's distances as
+the floor when no union row weighs less than them (the two are then equal);
+otherwise the kernel runs ``apsp`` on the deduplicated union.  ``apsp`` is
+not independent: it and ``graph_core.apsp`` both call scipy's Dijkstra on a
+CSR matrix.  The test suite cross-checks it against networkx's Dijkstra.
 
 Distances are float64 with +inf for unreachable pairs.  They are exact when
 every weight is an integer and every finite walk weight that a kernel adds
@@ -124,77 +128,70 @@ def apsp(g: WeightedDigraph) -> np.ndarray:
     return csgraph.dijkstra(mat)
 
 
-def _min_plus(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
-    """out <- a (min, +) b, as one rank-1 update per intermediate vertex k.
+def _min_plus(a: np.ndarray, b: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """a (min, +) b for powers of one zero-diagonal matrix, above ``floor`` only.
 
-    Every argument is n x n; tmp is scratch.  Where fewer than a quarter of
-    column k of a is finite, the update touches only those rows.  Below that
-    share a gathered update costs at most about half of a full one (the two
-    break even near a half), and on the forward-id DAG unions of hop-deep
-    graphs many columns are that sparse.
+    Starts from min(a, b).  Row i's open columns V_i (above ``floor``) take
+    the min over the finite columns K_i of a[i], read as whole rows of b
+    (K_i) or of b's transpose (V_i), whichever are fewer: numpy adds whole
+    rows about 3x faster per entry than it gathers a |K_i| x |V_i| block.
     """
-    n = len(a)
-    out.fill(np.inf)
-    finite = np.isfinite(a)
-    sparse = finite.sum(axis=0) * 4 < n
-    for k in range(n):
-        if sparse[k]:
-            rows = np.flatnonzero(finite[:, k])
-            out[rows] = np.minimum(out[rows], a[rows, k, None] + b[k])
+    out = np.minimum(a, b)
+    open_ = out > floor
+    b_t = np.ascontiguousarray(b.T)
+    for i in np.flatnonzero(open_.any(axis=1)):
+        cols = np.flatnonzero(open_[i])
+        ks = np.flatnonzero(np.isfinite(a[i]))
+        if len(ks) < len(cols):
+            via = (a[i, ks, None] + b[ks]).min(axis=0)[cols]
         else:
-            np.add(a[:, k, None], b[k], out=tmp)
-            np.minimum(out, tmp, out=out)
+            via = (b_t[cols] + a[i]).min(axis=1)
+        out[i, cols] = np.minimum(out[i, cols], via)
+    return out
 
 
-def hop_limited_dist(g: WeightedDigraph, beta: int) -> np.ndarray:
+def hop_limited_dist(
+    g: WeightedDigraph, beta: int, floor: np.ndarray | None = None
+) -> np.ndarray:
     """Exact distances over walks of at most ``beta`` edges, all pairs.
 
     P is the weight matrix with a zero diagonal, so its (min, +) power P^j
-    holds the least weight of a walk of at most j edges, and P^j only falls
-    as j grows.  The result is P^beta by binary exponentiation:
-    floor(log2 beta) squarings and one product per further set bit.
+    holds the least weight of a walk of at most j edges and falls with j,
+    down to D, the all-hops distances, which ``floor`` must hold (``apsp(g)``
+    if not given).  The result is P^beta by binary exponentiation.  An entry
+    equal to D keeps it in every later power and product, so products skip
+    it, pairs with D = inf included; and once P^(2^i) = D at the top of a
+    round, where beta >= 2^i, the answer is D with no further product.
 
-    Fixpoint stop: if squaring leaves Q = P^k unchanged, then
-    P^(3k) = P^(2k) (min, +) P^k = P^k, and by induction P^(mk) = P^k for
-    every m >= 1; each P^j with j >= k lies between P^(mk) and P^k for m
-    large enough, so P^j = Q.  A squaring of Q = P^(2^i) is made only while
-    beta has a set bit above bit i, so beta > 2^i and Q is the answer.
-
-    Cost: a product is n rank-1 updates of the n x n output, O(n^3) once
-    the power's reachability is dense, whatever the number m of edges, and
-    there are at most floor(log2 beta) + popcount(beta) - 1 products, so
-    O(n^3 log beta) time.  Memory is four n x n float64 buffers and one
-    n x n bool mask, 33 n^2 bytes.  The round-by-round DP costs O(beta n m)
-    instead, so on a sparse union far from its fixpoint this kernel is the
-    slower one (see ROADMAP item 7).
+    Cost: at most floor(log2 beta) + popcount(beta) - 1 products, each
+    n * min(|K_i|, |V_i|) summed over rows i (K_i: finite entries of the left
+    factor's row, V_i: entries still above D), so at most n^3 and far less
+    on sparse early and settled late powers.  Memory: power, result and
+    floor, plus a product's output, the right factor's transpose, a bool
+    mask and one block of at most n^2 floats.  The round-by-round DP costs
+    O(beta n m), so on a sparse union far from D it can still win (ROADMAP
+    item 6).
     """
     if beta < 0:
         raise ValueError("hop bound must be >= 0")
     n = g.n
+    if floor is None:
+        floor = apsp(g)
     power = np.full((n, n), np.inf)
     u, v, w = g.array.T
     power[u, v] = w
     np.fill_diagonal(power, 0.0)
     result = None
-    out, tmp = np.empty((n, n)), np.empty((n, n))
     bits = beta
     while bits:
+        if (power == floor).all():
+            return power
         if bits & 1:
-            if result is None:
-                result = power.copy()
-            else:
-                _min_plus(result, power, out, tmp)
-                result, out = out, result
+            result = power if result is None else _min_plus(result, power, floor)
         bits >>= 1
         if bits:
-            _min_plus(power, power, out, tmp)
-            if np.array_equal(out, power):
-                return power
-            power, out = out, power
-    if result is None:
-        result = np.full((n, n), np.inf)
-        np.fill_diagonal(result, 0.0)
-    return result
+            power = _min_plus(power, power, floor)
+    return result if result is not None else np.where(np.eye(n, dtype=bool), 0.0, np.inf)
 
 
 def verify_shortcut(g: Digraph, h, d: int, instance: str = "") -> VerificationReport:
@@ -276,7 +273,8 @@ def verify_hopset(
     checks.append(Check("weight_exactness", "fail" if bad else "pass", witness=bad))
 
     union = g.union_min(triples[pair_ok & (w >= 1)])
-    dh = hop_limited_dist(union, beta)
+    uu, uv, uw = union.array.T  # dg is the union's distances unless a row undercuts it
+    dh = hop_limited_dist(union, beta, dg if (uw >= dg[uu, uv]).all() else None)
 
     lower_bad = np.argwhere(dh < dg)
     checks.append(

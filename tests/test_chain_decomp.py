@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shortcutforge.chain_decomp import ChainDecomposition, decompose
+from shortcutforge.generators import GenSpec, generate
 from shortcutforge.graph_core import (
     Digraph,
     ReachabilityMatrix,
@@ -26,6 +29,13 @@ def random_dag(n: int, p: float, rng: np.random.Generator) -> Digraph:
         if rng.random() < p
     ]
     return Digraph(n, edges)
+
+
+def dense_adjacency(g: Digraph) -> np.ndarray:
+    """Boolean n x n adjacency matrix of g."""
+    a = np.zeros((g.n, g.n), dtype=bool)
+    a[g.array[:, 0], g.array[:, 1]] = True
+    return a
 
 
 def assert_valid(dag: Digraph, ell: int, decomp) -> None:
@@ -132,6 +142,21 @@ def test_closure_chains_pass_through_peeled_vertices():
     assert decompose(g, 3).antichains == (frozenset({4, 5}),)
 
 
+def test_raw_walk_back_reads_in_edges_not_a_dense_matrix():
+    # The packed closure for the acyclicity check is n^2 / 8 bytes (2 MiB);
+    # an n x n bool adjacency read by the walk back would add 16 MiB.
+    g = generate(GenSpec("random_dag", 4096, density=2.0, seed=1))
+    tracemalloc.start()
+    try:
+        d = decompose(g, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(d.chains) == 57
+    assert_valid(g, 1024, d)
+    assert peak < 4 * 2**20
+
+
 @pytest.mark.parametrize("ell", [0, -1, 11])
 def test_ell_out_of_range(ell):
     with pytest.raises(ValueError):
@@ -184,7 +209,7 @@ def reference_decompose(dag: Digraph | ReachabilityMatrix, ell: int) -> ChainDec
         np.fill_diagonal(adj_full, False)
     else:
         closure = transitive_closure(dag)
-        adj_full = dag.adjacency
+        adj_full = dense_adjacency(dag)
     check_acyclic(closure)
 
     threshold = -(-2 * n // ell)

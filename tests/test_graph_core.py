@@ -43,10 +43,17 @@ from shortcutforge.hopset_algos import HopsetEdges, HopsetParams
 from shortcutforge.shortcut_algos import ShortcutParams, ShortcutSet
 
 
+def dense_adjacency(g: Digraph) -> np.ndarray:
+    """Boolean n x n adjacency matrix of g."""
+    a = np.zeros((g.n, g.n), dtype=bool)
+    a[g.array[:, 0], g.array[:, 1]] = True
+    return a
+
+
 def bounded_reachability_by_powers(g: Digraph, hops: int) -> np.ndarray:
     """(A | I)^hops by binary exponentiation: the float32 BLAS kernel
     bounded_reachability used before it became a hop-limited search."""
-    base = g.adjacency.copy()
+    base = dense_adjacency(g)
     np.fill_diagonal(base, True)
     acc = np.eye(g.n, dtype=bool)
     k = hops

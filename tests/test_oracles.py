@@ -14,8 +14,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shortcutforge import graph_core, oracles
+from shortcutforge.generators import GenSpec, generate
 from shortcutforge.graph_core import Digraph, WeightedDigraph, weighted_closure
-from shortcutforge.hopset_algos import NicePathCollection, nice_collection
+from shortcutforge.hopset_algos import (
+    NicePathCollection,
+    build_hopset,
+    hopset_small_hop,
+    nice_collection,
+)
 from shortcutforge.oracles import (
     ENUMERATION_VERTEX_CAP,
     Check,
@@ -276,16 +282,151 @@ class TestOracleKernels:
         assert np.array_equal(oracles.apsp(g), expect)
 
 
+def reference_min_plus(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """out <- a (min, +) b, as one rank-1 update per intermediate vertex k.
+
+    Every argument is n x n; tmp is scratch.  Where fewer than a quarter of
+    column k of a is finite, the update touches only those rows.  Below that
+    share a gathered update costs at most about half of a full one (the two
+    break even near a half), and on the forward-id DAG unions of hop-deep
+    graphs many columns are that sparse.
+    """
+    n = len(a)
+    out.fill(np.inf)
+    finite = np.isfinite(a)
+    sparse = finite.sum(axis=0) * 4 < n
+    for k in range(n):
+        if sparse[k]:
+            rows = np.flatnonzero(finite[:, k])
+            out[rows] = np.minimum(out[rows], a[rows, k, None] + b[k])
+        else:
+            np.add(a[:, k, None], b[k], out=tmp)
+            np.minimum(out, tmp, out=out)
+
+
+def reference_hop_limited_dist(g: WeightedDigraph, beta: int) -> np.ndarray:
+    """The oracle's kernel before its products skipped settled entries:
+    full products, stopped when a squaring leaves the power unchanged."""
+    if beta < 0:
+        raise ValueError("hop bound must be >= 0")
+    n = g.n
+    power = np.full((n, n), np.inf)
+    u, v, w = g.array.T
+    power[u, v] = w
+    np.fill_diagonal(power, 0.0)
+    result = None
+    out, tmp = np.empty((n, n)), np.empty((n, n))
+    bits = beta
+    while bits:
+        if bits & 1:
+            if result is None:
+                result = power.copy()
+            else:
+                reference_min_plus(result, power, out, tmp)
+                result, out = out, result
+        bits >>= 1
+        if bits:
+            reference_min_plus(power, power, out, tmp)
+            if np.array_equal(out, power):
+                return power
+            power, out = out, power
+    if result is None:
+        result = np.full((n, n), np.inf)
+        np.fill_diagonal(result, 0.0)
+    return result
+
+
+class TestHopLimitedAgainstReference:
+    """The floor-bounded products against the full ones, exactly."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=40),
+        p=st.floats(min_value=0.0, max_value=0.5),
+        w_max=st.sampled_from([1, 9, 10**6]),
+        beta=st.integers(min_value=0, max_value=50),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        given_floor=st.booleans(),
+    )
+    @example(n=0, p=0.3, w_max=9, beta=5, seed=0, given_floor=True)
+    @example(n=1, p=0.3, w_max=9, beta=5, seed=0, given_floor=False)
+    @example(n=12, p=0.0, w_max=9, beta=5, seed=0, given_floor=True)  # edgeless
+    @example(n=40, p=0.03, w_max=10**6, beta=50, seed=3, given_floor=False)
+    def test_matches_full_products(self, n, p, w_max, beta, seed, given_floor):
+        g = random_weighted(n, p, w_max, seed)
+        expect = reference_hop_limited_dist(g, beta)
+        # any walk shortens to a path of at most n - 1 edges
+        floor = reference_hop_limited_dist(g, max(n - 1, 1)) if given_floor else None
+        assert np.array_equal(oracles.hop_limited_dist(g, beta, floor), expect)
+
+
+def hopset_instances() -> list[tuple[WeightedDigraph, np.ndarray, int]]:
+    """(graph, construction's rows, beta): a shallow and a hop-deep union."""
+    shallow = generate(GenSpec("weighted_random", 100, density=2.2, W=100, seed=4))
+    grid = generate(GenSpec("grid_dag", 100)).array
+    ws = np.random.default_rng(5).integers(1, 1001, size=len(grid))
+    deep = WeightedDigraph(100, np.column_stack([grid, ws]))
+    return [
+        (shallow, build_hopset(shallow, 12, EPS14, seed=1).array, 12),
+        (deep, hopset_small_hop(deep, 24, EPS14, seed=1).array, 24),
+    ]
+
+
+def hopset_variants(g: WeightedDigraph, h: np.ndarray) -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(0)
+    lowered = h.copy()
+    lowered[np.argmax(lowered[:, 2]), 2] -= 1
+    raised = h.copy()
+    raised[rng.choice(len(h), size=5, replace=False), 2] += 7
+    repeats = np.concatenate([h, g.array[::2]])
+    return {
+        "construction": h,
+        "empty": h[:0],
+        "lowered": lowered,
+        "raised": raised,
+        "repeats_g": repeats,
+        "repeats_g_lowered": np.concatenate([lowered, g.array[::2]]),
+    }
+
+
+class TestVerifyHopsetAgainstReference:
+    """Reports equal those of the full-product kernel, failing ones included."""
+
+    def test_reports_match(self, monkeypatch):
+        floors = []
+        real = oracles.hop_limited_dist
+
+        def spy(union, beta, floor=None):
+            floors.append(floor is None)
+            return real(union, beta, floor)
+
+        def reference(union, beta, floor=None):
+            return reference_hop_limited_dist(union, beta)
+
+        failing = set()
+        for i, (g, h, beta) in enumerate(hopset_instances()):
+            for name, rows in hopset_variants(g, h).items():
+                monkeypatch.setattr(oracles, "hop_limited_dist", spy)
+                got = verify_hopset(g, rows, beta, EPS14).to_dict()
+                monkeypatch.setattr(oracles, "hop_limited_dist", reference)
+                assert got == verify_hopset(g, rows, beta, EPS14).to_dict(), (i, name)
+                # the kernel computes its own floor exactly when a row undercuts dg
+                assert floors.pop() == name.endswith("lowered"), (i, name)
+                if not got["ok"]:
+                    failing.add(name)
+        assert {"empty", "lowered", "raised", "repeats_g_lowered"} <= failing
+
+
 class TestHopLimitedProductCount:
-    """Binary exponentiation with the fixpoint stop, counted by product."""
+    """Binary exponentiation with the floor stop, counted by product."""
 
     def count_products(self, monkeypatch, g: WeightedDigraph, beta: int) -> int:
         calls = []
         real = oracles._min_plus
 
-        def spy(*args):
+        def spy(a, b, floor):
             calls.append(1)
-            return real(*args)
+            return real(a, b, floor)
 
         monkeypatch.setattr(oracles, "_min_plus", spy)
         got = oracles.hop_limited_dist(g, beta)
@@ -295,7 +436,7 @@ class TestHopLimitedProductCount:
     @pytest.mark.parametrize("beta", [2, 12, 80, 1000])
     def test_hop_diameter_one_stops_at_once(self, monkeypatch, beta):
         g = weighted_closure(random_weighted(30, 0.1, 9, 7))
-        assert self.count_products(monkeypatch, g, beta) <= 2
+        assert self.count_products(monkeypatch, g, beta) == 0
 
     @pytest.mark.parametrize("beta", [48, 63])
     def test_path_takes_log_plus_popcount(self, monkeypatch, beta):
