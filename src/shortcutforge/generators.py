@@ -85,7 +85,8 @@ def generate(spec: GenSpec) -> Digraph | WeightedDigraph:
     n = spec.n
 
     if spec.family == "path":
-        return Digraph(n, ((i, i + 1) for i in range(n - 1)))
+        ids = np.arange(n - 1)
+        return Digraph(n, np.column_stack([ids, ids + 1]))
 
     if spec.family == "grid_dag":
         rows = int(np.sqrt(n))
@@ -105,14 +106,11 @@ def generate(spec: GenSpec) -> Digraph | WeightedDigraph:
         p = _edge_prob(spec, max(1.0, n / max(1, int(np.ceil(np.sqrt(n))))))
         layer_count = int(np.ceil(np.sqrt(n)))
         bounds = np.linspace(0, n, layer_count + 1).astype(int)
-        edges = []
-        for k in range(layer_count - 1):
-            left = range(bounds[k], bounds[k + 1])
-            right = range(bounds[k + 1], bounds[k + 2])
-            for u in left:
-                hits = rng.random(len(right)) < p
-                edges.extend((u, bounds[k + 1] + int(t)) for t in np.flatnonzero(hits))
-        return Digraph(n, edges)
+        edges = [np.empty((0, 2), np.int64)]
+        for a, b, c in zip(bounds, bounds[1:], bounds[2:]):  # one coin block per layer pair
+            u, v = np.nonzero(rng.random((b - a, c - b)) < p)
+            edges.append(np.column_stack([u + a, v + b]))
+        return Digraph(n, np.concatenate(edges))
 
     # random_digraph and weighted_random share the all-ordered-pairs model.
     pairs = _coin_pairs(rng, n, _edge_prob(spec, float(n - 1)), forward=False)

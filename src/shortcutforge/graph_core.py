@@ -362,59 +362,28 @@ def transitive_reduction(dag: Digraph) -> Digraph:
 
 
 def condense(g: Digraph) -> Condensation:
-    """Tarjan SCCs, relabelled so component ids are topologically sorted."""
+    """Tarjan SCCs, relabelled so component ids are topologically sorted.
+
+    scipy's strong-components search is Pearce's (2005) iterative Tarjan: it
+    takes roots in ascending id order, numbers components as they complete,
+    and expands the last target it pushed first.  Each CSR row therefore
+    lists its targets in descending order, so the walk visits them
+    ascending, as a recursive Tarjan over ``g.array`` does; the ids are then
+    the same.  This rests on scipy's traversal order, not on a documented
+    guarantee: ``TestCondense.test_ids_match_tarjan`` checks it against a
+    Python Tarjan kept in the tests.  Building the matrix from (row, col)
+    pairs or sorting its indices would put the targets back in ascending
+    order.
+    """
     n = g.n
-    # The out-neighbours of v are targets[start[v] : start[v + 1]].
-    targets = g.array[:, 1].tolist()
-    start = np.searchsorted(g.array[:, 0], np.arange(n + 1)).tolist()
-
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comp = [-1] * n
-    counter = 0
-    n_comps = 0
-
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work: list[tuple[int, int]] = [(root, start[root])]
-        while work:
-            v, ptr = work[-1]
-            if index[v] == -1:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while ptr < start[v + 1]:
-                w = targets[ptr]
-                ptr += 1
-                if index[w] == -1:
-                    work[-1] = (v, ptr)
-                    work.append((w, start[w]))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = n_comps
-                    if w == v:
-                        break
-                n_comps += 1
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-
+    u, v = g.array.T
+    adj = csr_matrix(
+        (np.ones(g.m), v[np.lexsort((-v, u))], np.searchsorted(u, np.arange(n + 1))),
+        shape=(n, n),
+    )
+    n_comps, labels = csgraph.connected_components(adj, connection="strong")
     # Tarjan completes SCCs in reverse topological order; flip the ids.
-    component_of = n_comps - 1 - np.array(comp, dtype=np.int64)
+    component_of = n_comps - 1 - labels.astype(np.int64)
     rep = np.unique(component_of, return_index=True)[1]
     component_of.setflags(write=False)
     rep.setflags(write=False)

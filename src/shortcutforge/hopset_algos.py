@@ -339,9 +339,7 @@ def hopset_large_hop(
     if len(sampled) <= 1:
         return HopsetEdges(n, (), (), params)
 
-    r = max(1, floor_root(beta**4 // n, 3))
-    while r**3 * n < beta**4:
-        r += 1
+    r = max(1, ceil_root(-(-(beta**4) // n), 3))
     full = apsp(g)
     capped = hop_limited_dist(g, r)
     ix = np.ix_(sampled, sampled)

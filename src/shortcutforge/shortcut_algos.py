@@ -151,9 +151,7 @@ def shortcut_large_d(
     if n_sub <= 1:
         return ShortcutSet(n, (), (), params)
 
-    r = max(1, floor_root(d**3 // n, 2))
-    while r * r * n < d**3:
-        r += 1
+    r = max(1, ceil_root(-(-(d**3) // n), 2))
     sub = closure_digraph(bounded_reachability(g, r)[np.ix_(sampled, sampled)])
 
     d_sub = max(3, int(n_sub ** (1.0 / 3.0) / math.log(n)))

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from shortcutforge.generators import GenSpec, generate, subdivide
+from shortcutforge.generators import GenSpec, _edge_prob, generate, subdivide
 from shortcutforge.graph_core import (
     Digraph,
     WeightedDigraph,
@@ -16,10 +16,29 @@ from shortcutforge.graph_core import (
 )
 
 
+def layered_by_vertex(spec: GenSpec) -> Digraph:
+    """generate's layered family before it drew one coin block per layer
+    pair: one draw per left vertex and one tuple per edge."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.seed)))
+    n = spec.n
+    p = _edge_prob(spec, max(1.0, n / max(1, int(np.ceil(np.sqrt(n))))))
+    layer_count = int(np.ceil(np.sqrt(n)))
+    bounds = np.linspace(0, n, layer_count + 1).astype(int)
+    edges = []
+    for k in range(layer_count - 1):
+        left = range(bounds[k], bounds[k + 1])
+        right = range(bounds[k + 1], bounds[k + 2])
+        for u in left:
+            hits = rng.random(len(right)) < p
+            edges.extend((u, bounds[k + 1] + int(t)) for t in np.flatnonzero(hits))
+    return Digraph(n, edges)
+
+
 class TestGenerate:
     def test_path_family(self):
         g = generate(GenSpec("path", 5))
         assert g.edges == frozenset((i, i + 1) for i in range(4))
+        assert generate(GenSpec("path", 1)) == Digraph(1)
 
     def test_zero_probability_is_edgeless(self):
         g = generate(GenSpec("random_dag", 12, p=0.0, seed=4))
@@ -113,6 +132,17 @@ class TestGenerate:
             if family == "weighted_random":
                 want = np.column_stack([want, rng.integers(1, 8, size=len(want))])
         assert generate(spec).edges == frozenset(map(tuple, want.tolist()))
+
+    def test_layered_block_draws_equal_per_vertex_draws(self):
+        specs = [
+            GenSpec("layered", n, p=p, seed=seed)
+            for n in [*range(1, 60), 300, 1000, 4096]
+            for p in (0.0, 0.05, 0.3, 1.0)
+            for seed in range(3)
+        ]
+        specs.append(GenSpec("layered", 500, density=2.5, seed=4))
+        for spec in specs:
+            assert generate(spec) == layered_by_vertex(spec), spec
 
     def test_all_pairs_draw_peak_memory(self):
         # One draw over all n(n-1) ordered pairs peaked at 400 MiB here.

@@ -15,6 +15,7 @@ from shortcutforge import graph_core
 from shortcutforge.generators import GenSpec, generate, subdivide
 from shortcutforge.graph_core import (
     MAX_VERTICES,
+    Condensation,
     Digraph,
     WeightedDigraph,
     apsp,
@@ -101,6 +102,70 @@ def closure_oracle(g: Digraph) -> np.ndarray:
                     seen.add(v)
                     stack.append(v)
     return out
+
+
+def condense_by_tarjan(g: Digraph) -> Condensation:
+    """condense before it called scipy: an iterative Tarjan in Python that
+    takes roots and each vertex's targets in ascending id order."""
+    n = g.n
+    # The out-neighbours of v are targets[start[v] : start[v + 1]].
+    targets = g.array[:, 1].tolist()
+    start = np.searchsorted(g.array[:, 0], np.arange(n + 1)).tolist()
+
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    comp = [-1] * n
+    counter = 0
+    n_comps = 0
+
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work: list[tuple[int, int]] = [(root, start[root])]
+        while work:
+            v, ptr = work[-1]
+            if index[v] == -1:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            while ptr < start[v + 1]:
+                w = targets[ptr]
+                ptr += 1
+                if index[w] == -1:
+                    work[-1] = (v, ptr)
+                    work.append((w, start[w]))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            if low[v] == index[v]:
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp[w] = n_comps
+                    if w == v:
+                        break
+                n_comps += 1
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+
+    # Tarjan completes SCCs in reverse topological order; flip the ids.
+    component_of = n_comps - 1 - np.array(comp, dtype=np.int64)
+    rep = np.unique(component_of, return_index=True)[1]
+    component_of.setflags(write=False)
+    rep.setflags(write=False)
+    cu, cv = component_of[g.array.T]
+    cross = cu != cv
+    dag = Digraph(n_comps, np.column_stack([cu[cross], cv[cross]]))
+    return Condensation(dag, component_of, rep)
 
 
 def bellman_ford_oracle(g: WeightedDigraph) -> np.ndarray:
@@ -528,6 +593,48 @@ class TestCondense:
         stars = scc_star_edges(g, cond)
         assert len(stars) <= 2 * (g.n - cond.dag.n)
         assert is_acyclic(cond.dag)
+
+    @staticmethod
+    def assert_same_as_tarjan(g: Digraph) -> None:
+        got, want = condense(g), condense_by_tarjan(g)
+        assert np.array_equal(got.component_of, want.component_of)
+        assert np.array_equal(got.rep, want.rep)
+        assert got.dag == want.dag
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=70),
+        p=st.floats(min_value=0.0, max_value=0.3),
+        family=st.sampled_from(["cyclic", "dag", "edgeless"]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(n=0, p=0.3, family="cyclic", seed=0)
+    @example(n=1, p=0.3, family="cyclic", seed=0)
+    @example(n=2, p=1.0, family="cyclic", seed=0)  # one 2-cycle
+    def test_ids_match_tarjan(self, n, p, family, seed):
+        rng = np.random.default_rng(seed)
+        if family == "cyclic":
+            g = random_digraph(n, p, rng)
+        elif family == "dag":  # forward pairs under a random relabelling
+            perm = rng.permutation(n)
+            g = Digraph(n, perm[np.argwhere(np.triu(rng.random((n, n)) < p, 1))])
+        else:
+            g = Digraph(n)
+        self.assert_same_as_tarjan(g)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GenSpec("random_digraph", 4096, density=1.5, seed=1),
+            GenSpec("random_digraph", 4096, density=3.0, seed=1),
+            GenSpec("random_dag", 4096, density=2.0, seed=1),
+            GenSpec("layered", 4096, p=0.05, seed=1),
+            GenSpec("grid_dag", 4096, seed=1),
+        ],
+        ids=["digraph-1.5", "digraph-3", "dag", "layered", "grid"],
+    )
+    def test_ids_match_tarjan_at_the_ceiling(self, spec):
+        self.assert_same_as_tarjan(generate(spec))
 
 
 class TestDistances:

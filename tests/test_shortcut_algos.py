@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from shortcutforge import graph_core, shortcut_algos
+from shortcutforge._intmath import ceil_root, floor_root
 from shortcutforge.chain_decomp import decompose
 from shortcutforge.generators import GenSpec, generate
 from shortcutforge.line_shortcut import shortcut_path
@@ -254,6 +255,18 @@ class TestLargeD:
             assert hs.edges <= closure_pairs(g)
             assert hop_diameter(g, hs.edges) <= 4 * 64
 
+    @pytest.mark.parametrize("power, k", [(3, 2), (4, 3)])
+    def test_radius_rule_matches_the_search_loop(self, power, k):
+        # The least r >= 1 with r^k * n >= x, for x = d^3 (shortcut_large_d,
+        # k = 2) and x = beta^4 (hopset_large_hop, k = 3).  The loop is the
+        # rule both used before they called ceil_root once.
+        for n in range(1, 4097, 7):
+            for d in range(1, 301):
+                x = d**power
+                r = max(1, floor_root(x // n, k))
+                while r**k * n < x:
+                    r += 1
+                assert max(1, ceil_root(-(-x // n), k)) == r, (n, d)
 
     def test_forward_ids_skip_condense(self, monkeypatch):
         # the condensation build_shortcuts hands over has forward ids, so
