@@ -494,26 +494,42 @@ def _parse_edge_text(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     (lines, 3) array padded with 0; the array is int64 unless one of them is
     longer than 18 characters, and then holds Python ints.
     """
-    body = re.sub("#.*", "", "\n".join(text.splitlines()))
+    body = text
+    if not body.isascii() or any(c in body for c in "\r\x0b\x0c\x1c\x1d\x1e"):
+        body = "\n".join(body.splitlines())  # every other line break as \n
+    body = re.sub("#.*", "", body)
     if not body.isascii():  # the same fields and int values, in ASCII
         body = re.sub(r"[^\x00-\x7f]", _ascii_char, body)
-    body = " " + body + " " * 18
-    b = np.frombuffer(body.encode(), np.uint8)
-    space = np.isin(b, list(b" \t\n\x1f"))  # all str.split() splits at, once lines are joined
-    starts = np.flatnonzero(space[:-1] & ~space[1:]) + 1
-    ends = np.flatnonzero(~space[:-1] & space[1:]) + 1
+    raw = "".join((" " * 18, body, " ")).encode()  # 18: room for the int reads below
+    del body
+    b = np.frombuffer(raw, np.uint8)
+    pos = np.int32 if len(b) < 2**31 else np.int64  # byte offsets and field edges
+    space = b == ord("\n")
+    newlines = np.flatnonzero(space).astype(pos)
+    for c in b" \t\x1f":  # with \n, all str.split() splits at once lines are joined
+        space |= b == c
+    edges = np.flatnonzero(space[:-1] != space[1:]).astype(pos) + 1
+    starts, ends = edges[0::2], edges[1::2]  # text is padded with spaces, so they alternate
     # int() reads decimal digits with single underscores between them, after
     # at most one sign, and no more digits than sys.get_int_max_str_digits().
-    digit = (b >= ord("0")) & (b <= ord("9"))
-    ok = space | digit | ((b == ord("_")) & np.roll(digit, 1))
-    ok[starts] |= np.isin(b[starts], list(b"+-"))
+    digit = (b - ord("0")) < 10
+    ok = space | digit
+    del space
+    ok[starts[np.isin(b[starts], list(b"+-"))]] = True
+    odd = np.zeros(len(starts), bool)  # fields with an underscore after a digit
+    if b"_" in raw:
+        bars = np.flatnonzero(b == ord("_"))
+        bars = bars[digit[bars - 1]]  # only those may stand in an int
+        ok[bars] = True
+        odd[np.searchsorted(starts, bars, "right") - 1] = True
     is_int = np.logical_and.reduceat(ok, starts) & digit[ends - 1]
+    del ok
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or len(b)  # 0 before 3.10.7
     overlong = np.flatnonzero(is_int & (ends - starts > limit))
     is_int[overlong] = [np.count_nonzero(digit[starts[i] : ends[i]]) <= limit for i in overlong]
-    del space, digit, ok  # a byte per character each; what follows is per field
+    del digit  # a byte per character; what follows is per field
 
-    line = np.searchsorted(np.flatnonzero(b == ord("\n")), starts) + 1
+    line = np.searchsorted(newlines, starts) + 1
     first = np.flatnonzero(np.diff(line, prepend=0))  # each line's first field
     count = np.diff(first, append=len(starts))
     lines = line[first]
@@ -526,18 +542,29 @@ def _parse_edge_text(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     del next_other, is_int
     taken = np.arange(3) < np.minimum(ints, 3)[:, None]
     fields = (first[:, None] + np.arange(3))[taken]
-    s, e = starts[fields], ends[fields]
-    del starts, ends, fields
-    # numpy reads fields of up to 18 characters, which fit int64, with int()
-    # in one call; longer ones, as ids past int64 are, are read one by one.
+    s, e, odd = starts[fields], ends[fields], odd[fields]
+    del edges, starts, ends, fields
+    # Fields of up to 18 characters fit int64.  They are read together, one
+    # Horner step per byte, over as many bytes before each field's end as the
+    # longest has: a non-digit byte, the sign or a byte before the field,
+    # resets the sum, so it ends as the field's digits.  Longer fields, as
+    # ids past int64 are, and fields with underscores go through int() one
+    # by one.
     size = e - s
-    short = size <= 18
-    width = int(size[short].max(initial=1))
-    chars = np.lib.stride_tricks.sliding_window_view(b, width)[s[short]]
-    chars *= np.arange(width) < size[short, None]  # NUL past a field's end ends its bytes
-    picked = np.zeros(len(s), np.int64 if short.all() else object)
-    picked[short] = chars.view(f"S{width}").ravel().astype(np.int64)
-    picked[~short] = [int(body[i:j]) for i, j in zip(s[~short].tolist(), e[~short].tolist())]
+    odd |= size > 18
+    fast = ~odd
+    fast_end = e[fast]
+    acc = np.zeros(len(fast_end), np.int64)
+    for back in range(int(size[fast].max(initial=0)), 0, -1):
+        column = b[fast_end - back] - ord("0")
+        acc *= 10
+        acc += column
+        acc *= column < 10
+    np.negative(acc, out=acc, where=b[s[fast]] == ord("-"))
+    picked = np.zeros(len(s), np.int64 if (size <= 18).all() else object)
+    picked[fast] = acc
+    picked[odd] = [int(raw[i:j]) for i, j in zip(s[odd].tolist(), e[odd].tolist())]
+    del s, e, size, fast_end, acc
     values = np.zeros(taken.shape, picked.dtype)
     values[taken] = picked
     return lines, count, ints, values
@@ -617,6 +644,41 @@ def load_edge_rows(text: str) -> tuple[int, np.ndarray]:
     return n, rows
 
 
+def _rows_text(array: np.ndarray, codes: np.ndarray, names: Sequence[str]) -> str:
+    """Each row's values in decimal, one space apart, then names[code] and "\\n".
+
+    Every stored value is >= 0, as containers reject negative ids and weights
+    below 1.  So the rows are written as bytes into one buffer: each value's
+    digit count comes from comparisons with powers of ten, each row's place
+    from a cumsum, and each column is written right to left, all rows at a
+    time.  A value with fewer digits than its column's longest writes its
+    spare steps into the byte before it, which a later step rewrites.
+    """
+    lengths = np.ones(array.shape, np.int64)
+    for p in range(1, len(str(array.max(initial=0)))):
+        lengths += array >= 10**p
+    tails = [name.encode("ascii") for name in names]
+    row_sizes = lengths.sum(1) + array.shape[1] + np.array([len(t) for t in tails])[codes]
+    row_ends = np.cumsum(row_sizes)  # where each row's newline goes
+    buf = np.empty(1 + int(row_sizes.sum()), np.uint8)  # buf[0] takes the first row's spill
+    at = row_ends - row_sizes  # the byte before each row
+    for value, length in zip(array.T, lengths.T):
+        before = at
+        at = at + length  # each value's last digit
+        for step in range(int(length.max(initial=0))):
+            buf[np.maximum(at - step, before)] = value % 10 + ord("0")
+            value = value // 10
+        buf[before] = ord(" ")  # before the first column: the previous row's newline
+        at = at + 1
+    for code, tail in enumerate(tails):
+        spots = at[codes == code]
+        for byte in tail:
+            buf[spots] = byte
+            spots += 1
+    buf[row_ends] = ord("\n")
+    return buf[1:].tobytes().decode("ascii")
+
+
 def dump_edge_list(
     g: Digraph | WeightedDigraph | TaggedEdges, comments: Sequence[str] = ()
 ) -> str:
@@ -629,8 +691,7 @@ def dump_edge_list(
         out.append(f"{g.n} {g.m} {g.max_weight}")
     else:
         out.append(f"{g.n} {g.m}")
-    columns = g.array.T.tolist()
+    codes, names = np.zeros(g.m, np.int8), [""]
     if isinstance(g, TaggedEdges):
-        columns.append(g.tags.tolist())
-    out.extend(map(" ".join(["{}"] * len(columns)).format, *columns))
-    return "\n".join(out) + "\n"
+        codes, names = g.codes, [" " + tag for tag in g.TAGS]
+    return "\n".join(out) + "\n" + _rows_text(g.array, codes, names)

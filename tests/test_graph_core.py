@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import tracemalloc
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shortcutforge import graph_core
+from shortcutforge.cli import main as cli_main
 from shortcutforge.generators import GenSpec, generate, subdivide
 from shortcutforge.graph_core import (
     MAX_VERTICES,
@@ -33,8 +34,9 @@ from shortcutforge.graph_core import (
     unit_weights,
     weighted_closure,
 )
-from shortcutforge.graph_core import (  # the old readers' helpers, for the references
+from shortcutforge.graph_core import (  # the old reader's and writer's helpers, for the references
     LoadReport,
+    TaggedEdges,
     _check_vertex_count,
     _int64,
     _int_rows,
@@ -323,6 +325,28 @@ def load_edge_rows_by_lines(text: str) -> tuple[int, np.ndarray]:
     if len(rows) != m:
         raise ValueError(f"header declares m={m} edges but file has {len(rows)}")
     return n, rows
+
+
+def dump_edge_list_by_format(
+    g: Digraph | WeightedDigraph | TaggedEdges, comments: Sequence[str] = ()
+) -> str:
+    """dump_edge_list before it wrote rows into one byte buffer: a
+    str.format call per row.
+
+    Serialize edges in the edge-list format (rows sorted, deterministic).
+
+    A TaggedEdges gets an "n m" header and its tag names as the last column.
+    """
+    out = [f"# {c}" for c in comments]
+    if isinstance(g, WeightedDigraph):
+        out.append(f"{g.n} {g.m} {g.max_weight}")
+    else:
+        out.append(f"{g.n} {g.m}")
+    columns = g.array.T.tolist()
+    if isinstance(g, TaggedEdges):
+        columns.append(g.tags.tolist())
+    out.extend(map(" ".join(["{}"] * len(columns)).format, *columns))
+    return "\n".join(out) + "\n"
 
 
 def random_digraph(n: int, p: float, rng: np.random.Generator) -> Digraph:
@@ -719,7 +743,10 @@ OTHER_FIELDS = st.sampled_from([
     "baseline", "tag", "_1", "1_", "1__0", "+", "-", "+-1", "1.5", "0x1", "\u00b2", "\ud800",
 ])
 SPACES = st.sampled_from([" ", " ", "  ", "\t", "\xa0", "\x1f", "\u3000"])
-LINE_ENDS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x85", "\u2028"])
+LINE_ENDS = st.sampled_from([
+    "\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x85", "\u2028",
+    "\x0c", "\x1c", "\x1d", "\x1e", "\r\r\n",
+])
 
 
 @st.composite
@@ -819,14 +846,28 @@ class TestEdgeListIO:
     @example("2 1\n0 " + "1" * 5000 + "\n")  # past int()'s limit on digits
     @example("2 1\n0 1 " + "1" * 5000 + "\n")
     @example("2 1\n\u0660 \u0661\u00a0tag\u2028")
+    @example("5 3\n0 1 tag\n1 2 tag\n2 4 tag\n")  # neither '#' nor '_'
+    @example("9 3\n+3 -0\n-7 +3\n-0 -7\n")  # signed ids
+    @example("9 2 5\n+3 -0 +5\n-7 3 -1\n")
     def test_readers_agree_with_line_loops(self, text):
         assert outcome(load_edge_list, text) == outcome(load_edge_list_by_lines, text)
         assert outcome(load_edge_rows, text) == outcome(load_edge_rows_by_lines, text)
 
+    def test_readers_agree_on_a_cli_written_folklore_file(self, tmp_path):
+        graph, edges = tmp_path / "dag.txt", tmp_path / "folklore.txt"
+        assert cli_main(["gen", "--family", "random_dag", "--n", "1000", "--density", "5",
+                         "--seed", "1", "--out", str(graph)]) == 0
+        assert cli_main(["shortcut", "--input", str(graph), "--diameter", "8", "--seed", "1",
+                         "--mode", "folklore", "--out", str(edges)]) == 0
+        text = edges.read_text()
+        n, dtype, shape, rows = outcome(load_edge_rows, text)
+        assert (n, dtype, shape, rows) == outcome(load_edge_rows_by_lines, text)
+        assert n == 1000 and shape[0] > 100_000  # the whole closure, as "u v baseline" rows
+
     def test_reader_peak_memory_per_input_character(self):
-        # The parser drops each per-field array once it is used: its traced
-        # peak on "u v tag" rows is about 9 bytes per input character, and
-        # was about 13 while those arrays lived until it returned.
+        # The parser holds byte offsets as int32 and drops each byte mask and
+        # per-field array once it is used: its traced peak on "u v tag" rows
+        # is about 6 bytes per input character.
         rng = np.random.default_rng(79)
         uv = rng.integers(0, 4000, (20_000, 2)).tolist()
         tags = rng.choice(["baseline", "chain_shortcut", "sampled_wiring"], 20_000).tolist()
@@ -911,3 +952,66 @@ class TestTaggedEdges:
         assert text == "# made by hand\n4 2\n0 1 1 induced_closure\n2 0 5 geometric_ladder\n"
         n, rows = load_edge_rows(text)
         assert n == 4 and np.array_equal(rows, h.array)
+
+
+# Values at every digit-count boundary an int64 has, and some between.
+BOUNDARY_VALUES = [0, 1, 9, 10, 99, 100, 999, 1000, 10**9, 10**18 - 1, 10**18, 2**63 - 1]
+
+
+@st.composite
+def edge_containers(draw) -> Digraph | WeightedDigraph | TaggedEdges:
+    """Digraph, WeightedDigraph, ShortcutSet or HopsetEdges, n = 0 to 4096,
+    with ids and weights drawn at digit boundaries as often as between them."""
+    cls = draw(st.sampled_from([Digraph, WeightedDigraph, ShortcutSet, HopsetEdges]))
+    n = draw(st.sampled_from([0, 1, 2, 11, 101, 1001, MAX_VERTICES]))
+    ids = st.one_of(st.sampled_from([v for v in BOUNDARY_VALUES if v < n]), st.integers(0, n - 1))
+    weights = st.one_of(st.sampled_from(BOUNDARY_VALUES[1:]), st.integers(1, 2**63 - 1))
+    width = 3 if cls in (WeightedDigraph, HopsetEdges) else 2
+    rows = []
+    if n > 1:
+        pairs = st.tuples(ids, ids).filter(lambda p: p[0] != p[1])
+        rows = [(*p, *draw(st.lists(weights, min_size=width - 2, max_size=width - 2)))
+                for p in draw(st.lists(pairs, max_size=12, unique=True))]
+    if cls in (Digraph, WeightedDigraph):
+        return cls(n, np.array(rows, np.int64).reshape(-1, width))
+    tags = draw(st.lists(st.sampled_from(cls.TAGS), min_size=len(rows), max_size=len(rows)))
+    params = SHORTCUT_PARAMS if cls is ShortcutSet else HOPSET_PARAMS
+    return cls(n, np.array(rows, np.int64).reshape(-1, width), tags, params)
+
+
+class TestEdgeListWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(edge_containers(), st.lists(st.text(max_size=8), max_size=2))
+    @example(
+        WeightedDigraph(101, [(0, 9, 10**18 - 1), (9, 10, 10**18), (99, 100, 2**63 - 1),
+                              (100, 0, 9), (10, 99, 99), (0, 100, 100)]),
+        ["digit boundaries"],
+    )
+    @example(HopsetEdges(101, [(0, 9, 10**18), (100, 99, 2**63 - 1), (10, 0, 1)],
+                         "geometric_ladder", HOPSET_PARAMS), [])
+    @example(Digraph(0), [])
+    @example(ShortcutSet(7, (), "baseline", SHORTCUT_PARAMS), ["no rows"])
+    def test_agrees_with_format_calls(self, g, comments):
+        assert dump_edge_list(g) == dump_edge_list_by_format(g)
+        assert dump_edge_list(g, comments) == dump_edge_list_by_format(g, comments)
+
+    @pytest.mark.parametrize("cls", [ShortcutSet, HopsetEdges])
+    def test_writer_peak_memory_per_output_character(self, cls):
+        # 20k rows, the hopset's with 9-digit weights: the row buffer, its
+        # bytes and the decoded text, plus a few int arrays per row.
+        rng = np.random.default_rng(83)
+        u = rng.integers(0, 4000, 20_000)
+        rows = np.column_stack([u, (u + rng.integers(1, 4000, 20_000)) % 4000])
+        params = SHORTCUT_PARAMS
+        if cls is HopsetEdges:
+            rows = np.column_stack([rows, rng.integers(10**8, 10**9, 20_000)])
+            params = HOPSET_PARAMS
+        h = cls(4000, rows, rng.choice(cls.TAGS, 20_000), params)
+        tracemalloc.start()
+        try:
+            text = dump_edge_list(h, ["memory check"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text.count("\n") == h.m + 2 and h.m > 19_900
+        assert peak < 11 * len(text)
