@@ -8,6 +8,18 @@ rows, so a bug in a construction kernel cannot hide itself by recurring in
 its check.  Edge sets are duck typed (an edge container or a plain iterable
 of rows) for the same reason.
 
+``verify_shortcut`` works on packed bit rows, ceil(n/64) little-endian
+uint64 words per vertex, through two kernels.  ``_reach_rows`` is G's
+reflexive reachability: a DP over the DAG of scipy's strong components,
+finished one generation at a time, sinks first.  It shares no code with
+``graph_core.transitive_closure`` but follows the same idea and calls the
+same scipy routine; the test suite cross-checks it against networkx.
+``_hop_levels`` is a frontier BFS of the union from every source at once:
+a row's level-(k+1) bits are its successors' level-k bits that it lacks.
+Both OR successor rows through ``_grouped_or``, in blocks of bounded size,
+so neither builds an n x n matrix of numbers: at n = 4096 a bit matrix
+takes 2 MiB, and a float64 one 128 MiB.
+
 The hop-limited kernel is a different algorithm from the constructions'
 round-by-round DP: (min, +) squaring whose products recompute only the
 entries still above their floor, the union's exact all-hops distance, and
@@ -113,13 +125,6 @@ def _first_row(rows: np.ndarray, mask: np.ndarray) -> tuple | None:
     return tuple(bad[np.lexsort(bad.T[::-1])[0]].tolist()) if len(bad) else None
 
 
-def _bfs_hops(n: int, edges: np.ndarray) -> np.ndarray:
-    mat = csr_matrix(
-        (np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n)
-    )
-    return csgraph.shortest_path(mat, method="D", unweighted=True)
-
-
 def apsp(g: WeightedDigraph) -> np.ndarray:
     """Exact all-pairs distances: scipy Dijkstra from every source."""
     n = g.n
@@ -194,43 +199,169 @@ def hop_limited_dist(
     return result if result is not None else np.where(np.eye(n, dtype=bool), 0.0, np.inf)
 
 
+_BLOCK_BYTES = 1 << 22  # bytes of bit rows that _grouped_or gathers at once
+
+
+def _bit(ids: np.ndarray) -> np.ndarray:
+    """Each id's bit within its little-endian uint64 word."""
+    return np.left_shift(np.uint64(1), (ids & 63).astype(np.uint64))
+
+
+def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The indices of the ranges [starts[i], ends[i]), concatenated in order."""
+    counts = ends - starts
+    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of an array of ints >= 0, ascending.
+
+    A sort and a mask: numpy 2's ``np.unique`` goes through a hash table
+    first, about 25x slower on 150k int64 keys.
+    """
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=-1) != 0]
+
+
+def _grouped_or(
+    rows: np.ndarray, src: np.ndarray, tgt: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(s, out): s is the distinct values of the sorted ``src``; out[i] is the
+    OR of rows[tgt[j]] over every j with src[j] == s[i].
+
+    Each group is padded to a power-of-two width by repeating its last
+    target (OR is idempotent), and the groups of one width are gathered as
+    a (groups, width, words) block and reduced over the middle axis: numpy
+    ORs such a block several times faster than ``reduceat`` ORs the ragged
+    groups.  A block holds at most _BLOCK_BYTES of rows, or one group if
+    that is wider: under 2n rows, as the callers' groups hold distinct
+    targets.
+    """
+    starts = np.flatnonzero(np.diff(src, prepend=-1))
+    counts = np.diff(starts, append=len(src))
+    out = np.empty((len(starts), rows.shape[1]), dtype=rows.dtype)
+    cap = max(1, _BLOCK_BYTES // max(1, rows.shape[1] * rows.itemsize))
+    exp = np.frexp(counts - 1)[1]  # width 2**exp >= count
+    for e in np.flatnonzero(np.bincount(exp)):
+        grp = np.flatnonzero(exp == e)
+        width = 1 << int(e)
+        idx = tgt[starts[grp, None] + np.minimum(np.arange(width), counts[grp, None] - 1)]
+        step = max(1, cap // width)
+        for a in range(0, len(grp), step):
+            out[grp[a : a + step]] = np.bitwise_or.reduce(rows[idx[a : a + step]], axis=1)
+    return src[starts], out
+
+
+def _reach_rows(n: int, edges: np.ndarray) -> np.ndarray:
+    """Reflexive reachability as packed bit rows: bit v of row u is set iff u reaches v.
+
+    Each strong component's row starts as its members' bits.  The
+    component DAG is then peeled sinks first, one generation at a time, and
+    each row of a generation ORs in its successors' finished rows.  A
+    vertex's row is its component's.
+    """
+    adj = csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n))
+    k, comp = csgraph.connected_components(adj, connection="strong")
+    comp = comp.astype(np.int64)
+    ids = np.arange(n)
+    rows = np.zeros((k, -(-n // 64)), dtype="<u8")
+    np.bitwise_or.at(rows, (comp, ids >> 6), _bit(ids))
+    cu, cv = comp[edges.T]
+    cross = cu != cv
+    cu, cv = np.divmod(_distinct(cu[cross] * k + cv[cross]), k)
+    out_ptr = np.searchsorted(cu, np.arange(k + 1))
+    by_tgt = np.argsort(cv, kind="stable")
+    in_ptr = np.searchsorted(cv[by_tgt], np.arange(k + 1))
+    left = np.diff(out_ptr)
+    front = np.flatnonzero(left == 0)
+    while front.size:
+        e = _ranges(out_ptr[front], out_ptr[front + 1])
+        src, acc = _grouped_or(rows, cu[e], cv[e])
+        rows[src] |= acc
+        e = by_tgt[_ranges(in_ptr[front], in_ptr[front + 1])]
+        pred, count = np.unique(cu[e], return_counts=True)
+        left[pred] -= count
+        front = pred[left[pred] == 0]
+    return rows[comp]
+
+
+def _first_bit(rows: np.ndarray) -> tuple[int, int] | None:
+    """(row, column) of the first set bit of packed rows in row-major order, or None."""
+    nonzero = rows.ravel() != 0
+    if not nonzero.any():
+        return None
+    r, j = divmod(int(nonzero.argmax()), rows.shape[1])
+    word = int(rows[r, j])
+    return r, 64 * j + (word & -word).bit_length() - 1
+
+
+def _hop_levels(
+    n: int, edges: np.ndarray, reach: np.ndarray
+) -> tuple[np.ndarray, int, tuple[int, int] | None]:
+    """Frontier BFS of all sources at once: (seen, last, pair).
+
+    ``seen`` is the digraph's reflexive reachability as packed rows.  Level
+    1 is one scatter of each row's successor bits, cheaper than gathering
+    one-bit rows.  The level-(k+1) new bits of row u are the OR of its
+    successors' level-k new bits, minus the bits u already has; only rows
+    with new bits stay in the frontier.  ``last`` is the last level that brings a new bit also set in
+    ``reach`` (0 if none does), and ``pair`` that level's first such bit in
+    row-major order.
+    """
+    u, v = np.divmod(_distinct(edges[:, 0] * n + edges[:, 1]), n)
+    ids = np.arange(n)
+    seen = np.zeros((n, -(-n // 64)), dtype="<u8")
+    seen[ids, ids >> 6] = _bit(ids)
+    new = np.zeros_like(seen)
+    np.bitwise_or.at(new, (u, v >> 6), _bit(v))
+    front, new = ids, new & ~seen
+    pos = np.full(n, -1)
+    level, last, far = 0, 0, None
+    while True:
+        live = new.any(axis=1)
+        front, new = front[live], new[live]
+        if not front.size:
+            break
+        level += 1
+        seen[front] |= new
+        hit = new & reach[front]
+        if hit.any():
+            last, far = level, (front, hit)
+        pos[front] = np.arange(len(front))
+        at = pos[v]
+        pos[front] = -1
+        live = at >= 0
+        front, new = _grouped_or(new, u[live], at[live])
+        new &= ~seen[front]
+    if far is None:
+        return seen, last, None
+    r, col = _first_bit(far[1])
+    return seen, last, (int(far[0][r]), col)
+
+
 def verify_shortcut(g: Digraph, h, d: int, instance: str = "") -> VerificationReport:
     """Closure membership, closure preservation, and hop diameter vs d."""
     edges = _edge_array(h, 2)
     g_edges = _edge_array(g, 2)
-    base = _bfs_hops(g.n, g_edges)
-    reach = np.isfinite(base)
+    reach = _reach_rows(g.n, g_edges)
     checks: list[Check] = []
 
     u, v = edges.T
     in_range = (u >= 0) & (u < g.n) & (v >= 0) & (v < g.n)
     member = in_range & (u != v)
-    member[member] = reach[u[member], v[member]]
+    mu, mv = u[member], v[member]
+    member[member] = reach[mu, mv >> 6] & _bit(mv) != 0
     bad = _first_row(edges, ~member)
     checks.append(
         Check("closure_membership", "fail" if bad else "pass", witness=bad)
     )
 
-    union = _bfs_hops(g.n, np.concatenate([g_edges, edges[in_range]]))
-    diff = np.argwhere(np.isfinite(union) != reach)
+    union = np.concatenate([g_edges, edges[in_range]])
+    seen, achieved, pair = _hop_levels(g.n, union, reach)
+    diff = _first_bit(seen ^ reach)
     checks.append(
-        Check(
-            "closure_preserved",
-            "fail" if len(diff) else "pass",
-            witness=tuple(map(int, diff[0])) if len(diff) else None,
-        )
+        Check("closure_preserved", "fail" if diff else "pass", witness=diff)
     )
-
-    mask = reach.copy()
-    np.fill_diagonal(mask, False)
-    if mask.any():
-        vals = np.where(mask, union, -np.inf)
-        flat = int(np.argmax(vals))
-        pair = (flat // g.n, flat % g.n)
-        achieved = int(vals[pair])
-    else:
-        pair = None
-        achieved = 0
     checks.append(
         Check(
             "diameter_at_most_target",

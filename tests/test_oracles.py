@@ -6,15 +6,17 @@ from __future__ import annotations
 import ast
 import inspect
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csgraph, csr_matrix
 
 from shortcutforge import graph_core, oracles
-from shortcutforge.generators import GenSpec, generate
+from shortcutforge.generators import GenSpec, generate, subdivide
 from shortcutforge.graph_core import Digraph, WeightedDigraph, weighted_closure
 from shortcutforge.hopset_algos import (
     NicePathCollection,
@@ -25,10 +27,14 @@ from shortcutforge.hopset_algos import (
 from shortcutforge.oracles import (
     ENUMERATION_VERTEX_CAP,
     Check,
+    VerificationReport,
+    _edge_array,
+    _first_row,
     verify_hopset,
     verify_nice,
     verify_shortcut,
 )
+from shortcutforge.shortcut_algos import build_shortcuts
 
 EPS14 = Fraction(1, 4)
 
@@ -216,8 +222,9 @@ def hop_bellman_ford(n: int, triples, beta: int) -> list[list[float]]:
 
 class TestOracleKernels:
     def test_kernels_are_the_oracles_own(self):
-        assert oracles.apsp.__module__ == "shortcutforge.oracles"
-        assert oracles.hop_limited_dist.__module__ == "shortcutforge.oracles"
+        for kernel in (oracles.apsp, oracles.hop_limited_dist, oracles._reach_rows,
+                       oracles._hop_levels, oracles._grouped_or):
+            assert kernel.__module__ == "shortcutforge.oracles", kernel.__name__
         tree = ast.parse(inspect.getsource(oracles))
         imported = {
             alias.name
@@ -280,6 +287,227 @@ class TestOracleKernels:
             for t, d in lengths.items():
                 expect[s, t] = d
         assert np.array_equal(oracles.apsp(g), expect)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=150),
+        p=st.floats(min_value=0.0, max_value=0.08),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(n=0, p=0.0, seed=0)
+    @example(n=1, p=0.0, seed=0)
+    @example(n=129, p=0.0, seed=0)  # edgeless, three words per row
+    @example(n=130, p=0.05, seed=1)  # one large strong component
+    def test_reach_rows_match_networkx(self, n, p, seed):
+        nx = pytest.importorskip("networkx")
+        g = random_digraph(n, p, seed)
+        ref = nx.DiGraph()
+        ref.add_nodes_from(range(n))
+        ref.add_edges_from(g.array.tolist())
+        expect = np.zeros((n, n), dtype=bool)
+        for u in range(n):
+            expect[u, [u, *nx.descendants(ref, u)]] = True
+        rows = oracles._reach_rows(n, g.array)
+        assert rows.dtype == np.dtype("<u8") and rows.shape == (n, -(-n // 64))
+        bits = np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little").view(bool)
+        assert np.array_equal(bits[:, :n], expect)
+        assert not bits[:, n:].any()  # no bit past the last vertex
+
+
+def random_digraph(n: int, p: float, seed: int) -> Digraph:
+    """Each ordered pair of distinct vertices an edge with probability p: cycles allowed."""
+    mask = np.random.default_rng(seed).random((n, n)) < p
+    np.fill_diagonal(mask, False)
+    return Digraph(n, np.argwhere(mask))
+
+
+def reference_bfs_hops(n: int, edges: np.ndarray) -> np.ndarray:
+    mat = csr_matrix(
+        (np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n)
+    )
+    return csgraph.shortest_path(mat, method="D", unweighted=True)
+
+
+def verify_shortcut_by_bfs(g: Digraph, h, d: int, instance: str = "") -> VerificationReport:
+    """The verifier on two all-pairs BFS hop matrices, G's and the union's."""
+    edges = _edge_array(h, 2)
+    g_edges = _edge_array(g, 2)
+    base = reference_bfs_hops(g.n, g_edges)
+    reach = np.isfinite(base)
+    checks: list[Check] = []
+
+    u, v = edges.T
+    in_range = (u >= 0) & (u < g.n) & (v >= 0) & (v < g.n)
+    member = in_range & (u != v)
+    member[member] = reach[u[member], v[member]]
+    bad = _first_row(edges, ~member)
+    checks.append(
+        Check("closure_membership", "fail" if bad else "pass", witness=bad)
+    )
+
+    union = reference_bfs_hops(g.n, np.concatenate([g_edges, edges[in_range]]))
+    diff = np.argwhere(np.isfinite(union) != reach)
+    checks.append(
+        Check(
+            "closure_preserved",
+            "fail" if len(diff) else "pass",
+            witness=tuple(map(int, diff[0])) if len(diff) else None,
+        )
+    )
+
+    mask = reach.copy()
+    np.fill_diagonal(mask, False)
+    if mask.any():
+        vals = np.where(mask, union, -np.inf)
+        flat = int(np.argmax(vals))
+        pair = (flat // g.n, flat % g.n)
+        achieved = int(vals[pair])
+    else:
+        pair = None
+        achieved = 0
+    checks.append(
+        Check(
+            "diameter_at_most_target",
+            "pass" if achieved <= d else "fail",
+            witness=pair if achieved > d else None,
+            detail=f"achieved {achieved} vs target {d}",
+        )
+    )
+    return VerificationReport(instance, tuple(checks), achieved_diameter=achieved)
+
+
+def shortcut_instances(seed: int) -> list[tuple[str, Digraph, int]]:
+    """(label, graph, D): the benchmark's four random DAGs and two hop-deep graphs."""
+    split, _ = subdivide(generate(GenSpec("random_dag", 300, density=2.0, seed=seed)), 3)
+    return [
+        *(
+            (f"random_dag#{i}",
+             generate(GenSpec("random_dag", 800, density=3.0, seed=4 * seed + i)), 8)
+            for i in range(4)
+        ),
+        ("grid_dag", generate(GenSpec("grid_dag", 1225)), 11),
+        ("subdivide", split, 16),
+    ]
+
+
+def shortcut_variants(g: Digraph, h: np.ndarray) -> dict[str, np.ndarray]:
+    """The construction's rows, and copies with planted faults of each kind."""
+    n = g.n
+    rng = np.random.default_rng(n)
+    pick = h[rng.choice(len(h), size=min(len(h), 5), replace=False)]
+    return {
+        "outside_closure": np.concatenate([h, pick[:, ::-1]]),
+        "negative": np.concatenate([h, [[-1, 0], [0, -n]]]),
+        "beyond_n": np.concatenate([[[n, 0], [1, n + 7]], h]),
+        "self_loops": np.concatenate([h, np.repeat(pick[:, :1], 2, axis=1)]),
+        "duplicates": np.concatenate([h, pick, g.array[::3], h[::2]]),
+    }
+
+
+def assert_same_reports(g: Digraph, h, d: int) -> dict:
+    got = verify_shortcut(g, h, d).to_dict()
+    assert got == verify_shortcut_by_bfs(g, h, d).to_dict()
+    return got
+
+
+class TestVerifyShortcutAgainstBFS:
+    """Reports equal those of the all-pairs BFS verifier, failing ones included."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_benchmark_shapes(self, seed):
+        for label, g, d in shortcut_instances(seed):
+            h = build_shortcuts(g, d, seed=seed).array
+            assert assert_same_reports(g, h, d)["ok"], label
+            empty = assert_same_reports(g, h[:0], d)
+            if label == "grid_dag":  # 68 hops against D = 11: the witness path runs
+                assert empty["achieved_diameter"] == 68 and not empty["ok"]
+
+    def test_planted_faults(self):
+        failing = set()
+        for label, g, d in shortcut_instances(0)[3:]:
+            h = build_shortcuts(g, d, seed=0).array
+            for name, rows in shortcut_variants(g, h).items():
+                report = assert_same_reports(g, rows, d)
+                for check in report["checks"]:
+                    if check["status"] == "fail":
+                        failing.add((name, check["name"]))
+        assert {
+            ("outside_closure", "closure_membership"),
+            ("outside_closure", "closure_preserved"),
+            ("negative", "closure_membership"),
+            ("beyond_n", "closure_membership"),
+            ("self_loops", "closure_membership"),
+        } <= failing
+        assert not any(name == "duplicates" for name, _ in failing)
+
+    @pytest.mark.parametrize("n, density, seed", [(60, 1.5, 0), (200, 1.2, 1), (300, 3.0, 2)])
+    def test_cyclic_inputs(self, n, density, seed):
+        g = generate(GenSpec("random_digraph", n, density=density, seed=seed))
+        assert not graph_core.is_acyclic(g)
+        h = build_shortcuts(g, 4, seed=seed).array
+        for rows in [h, h[:0], *shortcut_variants(g, h).values()]:
+            for d in (1, 4, n):
+                assert_same_reports(g, rows, d)
+
+    @pytest.mark.parametrize("rows", [[], [(0, 0)], [(0, 1)], [(-1, 0)], [(0, 0), (0, 0)]])
+    def test_zero_and_one_vertex(self, rows):
+        for n in (0, 1):
+            for d in (0, 1):
+                assert_same_reports(Digraph(n, []), np.array(rows, dtype=np.int64), d)
+
+    def test_reports_do_not_depend_on_the_block_size(self, monkeypatch):
+        g = generate(GenSpec("random_digraph", 150, density=2.0, seed=3))
+        h = build_shortcuts(g, 3, seed=3).array
+        want = verify_shortcut_by_bfs(g, h, 3).to_dict()
+        for block in (1, 64, 4096):  # one row, and then a few groups, per block
+            monkeypatch.setattr(oracles, "_BLOCK_BYTES", block)
+            assert verify_shortcut(g, h, 3).to_dict() == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=0, max_value=70),
+        p=st.floats(min_value=0.0, max_value=0.15),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_random_instances(self, data, n, p, seed):
+        g = random_digraph(n, p, seed)
+        h = data.draw(
+            st.lists(st.tuples(st.integers(-2, n + 1), st.integers(-2, n + 1)), max_size=60)
+        )
+        rows = np.array(h, dtype=np.int64).reshape(-1, 2)
+        achieved = assert_same_reports(g, rows, n)["achieved_diameter"]
+        for d in {max(achieved - 1, 0), achieved // 2, achieved + 1}:
+            assert_same_reports(g, rows, d)
+
+
+class TestVerifyShortcutMemory:
+    """tracemalloc peak of verify_shortcut at the 4096-vertex ceiling."""
+
+    CASES = {
+        "random_dag_d16": (GenSpec("random_dag", 4096, density=2.0, seed=1), 16, True),
+        "grid_empty": (GenSpec("grid_dag", 4096), 64, False),
+        "grid_d64": (GenSpec("grid_dag", 4096), 64, True),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_peak_at_most_64_mib(self, case):
+        spec, d, build = self.CASES[case]
+        g = generate(spec)
+        h = build_shortcuts(g, d, seed=1).array if build else np.empty((0, 2), np.int64)
+        tracemalloc.start()
+        try:
+            report = verify_shortcut(g, h, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two n x n float64 hop matrices alone are 256 MiB
+        assert peak <= 64 * 2**20, peak
+        assert report.ok is build
+        if case == "grid_d64":
+            assert len(h) == 139_096 and report.achieved_diameter == 3
+        if case == "grid_empty":
+            assert report.achieved_diameter == 126
 
 
 def reference_min_plus(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
