@@ -11,8 +11,9 @@ each hold one read-only int64 ``array`` sorted by (u, v), of shape (m, 2) or
 (m, 3) with the weight last; TaggedEdges adds ``codes``, indices into TAGS.
 ``edges`` (a frozenset of tuples) and ``tagged`` (row tuples ending in the tag
 name) are views built on first access; kernels read the arrays.  The edge
-file formats, tagged or not, and the bit layout of a ReachabilityMatrix are
-also decided here alone; other modules read the bits through rows() and has().
+file formats, tagged or not, and the bit layout of a ReachabilityMatrix (bit v
+of a row is vertex v) are also decided here alone; other modules read the
+bits through rows() and has().
 """
 
 from __future__ import annotations
@@ -228,12 +229,12 @@ class TaggedEdges(_EdgeArray):
 
 @dataclass(frozen=True, eq=False)
 class ReachabilityMatrix:
-    """Reachability as packed rows: u reaches v iff bit row_of[v] of packed[row_of[u]].
+    """Reachability as packed rows: u reaches v iff bit v of packed[row_of[u]].
 
     ``packed``: read-only uint8, one row per condensation component and one
-    bit per row, little-endian; ``row_of``: each vertex's row.  Reflexive by
-    convention.  Vertices of one SCC share a row, so a closure is acyclic iff
-    no two vertices do.
+    bit per vertex, little-endian, ceil(n/8) bytes a row; ``row_of``: each
+    vertex's row.  Reflexive by convention.  Vertices of one SCC share a
+    row, so a closure is acyclic iff no two vertices do.
     """
 
     n: int
@@ -246,14 +247,11 @@ class ReachabilityMatrix:
 
     def rows(self, vertices: np.ndarray | slice = slice(None)) -> np.ndarray:
         """New C-contiguous bool array: row i says which vertices vertices[i] reaches."""
-        bits = np.unpackbits(
-            self.packed[self.row_of[vertices]], axis=1, count=len(self.packed), bitorder="little"
-        ).view(bool)
-        return np.take(bits, self.row_of, axis=1)
+        packed = self.packed[self.row_of[vertices]]
+        return np.unpackbits(packed, axis=1, count=self.n, bitorder="little").view(bool)
 
     def has(self, u: int, v: int) -> bool:
-        col = int(self.row_of[v])
-        return bool(self.packed[self.row_of[u], col >> 3] >> (col & 7) & 1)
+        return bool(self.packed[self.row_of[u], v >> 3] >> (v & 7) & 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,21 +272,20 @@ def transitive_closure(g: Digraph) -> ReachabilityMatrix:
 
     When every edge runs from a smaller id to a larger one the ids already
     are such an order and each vertex is its own component, so no SCC pass
-    runs.  Each component's row is its own bit ORed with the finished rows
-    of its successors, last id first; numpy byte ops only, no BLAS call, and
-    no n x n matrix is built.
+    runs.  Each component's row starts as its members' bits and ORs in the
+    finished rows of its successors, last id first; numpy byte ops only, no
+    BLAS call, and no n x n matrix is built.
     """
     if _forward_ids(g):
         dag, row_of = g, np.arange(g.n)
     else:
         cond = condense(g)
         dag, row_of = cond.dag, cond.component_of
-    k = dag.n
-    ids = np.arange(k)
-    rows = np.zeros((k, -(-k // 8)), dtype=np.uint8)
-    rows[ids, ids >> 3] = 1 << (ids & 7)
-    succ = np.split(dag.array[:, 1], np.searchsorted(dag.array[:, 0], ids[1:]))
-    for c in range(k - 1, -1, -1):
+    ids = np.arange(g.n)
+    rows = np.zeros((dag.n, -(-g.n // 8)), dtype=np.uint8)
+    np.bitwise_or.at(rows, (row_of, ids >> 3), np.left_shift(1, ids & 7).astype(np.uint8))
+    succ = np.split(dag.array[:, 1], np.searchsorted(dag.array[:, 0], ids[1 : dag.n]))
+    for c in range(dag.n - 1, -1, -1):
         if succ[c].size:
             rows[c] |= np.bitwise_or.reduce(rows[succ[c]], axis=0)
     return ReachabilityMatrix(g.n, rows, row_of)
@@ -348,16 +345,15 @@ def transitive_reduction(dag: Digraph) -> Digraph:
     """
     closure = transitive_closure(dag)
     check_acyclic(closure)
-    col = closure.row_of  # acyclic: one row, and one bit, per vertex
     ids = np.arange(dag.n)
-    strict = closure.packed[col]
-    strict[ids, col >> 3] ^= np.left_shift(1, col & 7).astype(np.uint8)
+    strict = closure.packed[closure.row_of]  # acyclic: one row per vertex
+    strict[ids, ids >> 3] ^= np.left_shift(1, ids & 7).astype(np.uint8)
     detour = np.zeros_like(strict)
     u, v = dag.array.T
     for x, succ in enumerate(np.split(v, np.searchsorted(u, ids[1:]))):
         if succ.size:
             detour[x] = np.bitwise_or.reduce(strict[succ], axis=0)
-    hit = detour[u, col[v] >> 3] >> (col[v] & 7) & 1
+    hit = detour[u, v >> 3] >> (v & 7) & 1
     return Digraph(dag.n, dag.array[hit == 0])
 
 

@@ -166,7 +166,10 @@ def build_shortcuts(
 
     Lifted output = condensation-level shortcuts mapped through each
     component's representative, ``rep`` (keeping their tags), plus the
-    two-way representative stars, tagged "lifted".
+    two-way representative stars, tagged "lifted".  The target d holds at
+    the condensation level only: if its union has hop diameter h, each hop
+    lifts to at most 3 in g (star, edge, star) and each end adds one star
+    hop, so g's union has hop diameter at most 3h + 2.
     """
     if mode not in ("auto", "small", "large"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -157,6 +157,23 @@ def test_raw_walk_back_reads_in_edges_not_a_dense_matrix():
     assert peak < 4 * 2**20
 
 
+def test_closure_walk_back_unpacks_the_closure_once():
+    # The walk back reads one n x n bool matrix of closure ancestors (16 MiB);
+    # a second n x n copy, such as a column gather, would double that.
+    g = generate(GenSpec("random_dag", 4096, density=2.0, seed=1))
+    closure = transitive_closure(g)
+    tracemalloc.start()
+    try:
+        d = decompose(g, 1024, closure)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(d.covered()) == list(range(g.n))
+    assert all(closure.has(a, b) for chain in d.chains for a, b in zip(chain, chain[1:]))
+    assert len(d.chains) <= 1024 and len(d.antichains) <= 8  # ceil(2n / ell)
+    assert peak <= 20 * 2**20, peak
+
+
 @pytest.mark.parametrize("ell", [0, -1, 11])
 def test_ell_out_of_range(ell):
     with pytest.raises(ValueError):

@@ -452,6 +452,21 @@ class TestClosure:
                 for v in range(n):
                     assert reach.has(u, v) == want[u, v]
 
+    def test_rows_of_half_the_vertices_is_one_unpack(self):
+        # 2048 rows of 4096 bits: 8 MiB of bools plus their 1 MiB of packed
+        # rows; a column gather would add a second 8 MiB array.
+        g = generate(GenSpec("random_dag", 4096, density=2.0, seed=1))
+        reach = transitive_closure(g)
+        vs = np.arange(0, 4096, 2)
+        tracemalloc.start()
+        try:
+            got = reach.rows(vs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (2048, 4096) and got[np.arange(2048), vs].all()
+        assert peak <= 10 * 2**20, peak
+
     def test_forward_ids_skip_condense(self, monkeypatch):
         # Every edge runs from a smaller id to a larger one: the ids already
         # are a topological order, so no SCC pass may run.

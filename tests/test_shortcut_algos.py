@@ -20,6 +20,7 @@ from shortcutforge.graph_core import (
     transitive_reduction,
     unit_weights,
 )
+from shortcutforge.oracles import verify_shortcut
 from shortcutforge.shortcut_algos import (
     ShortcutParams,
     ShortcutSet,
@@ -335,6 +336,23 @@ class TestBuildShortcuts:
         union = Digraph(g.n, set(g.edges) | set(hs.edges))
         assert np.array_equal(transitive_closure(union).rows(), transitive_closure(g).rows())
         assert hop_diameter(g, hs.edges) <= 3 * hop_diameter(cond.dag, h_plus.edges) + 4
+
+    @pytest.mark.parametrize("n", [60, 150, 300])
+    @pytest.mark.parametrize("density", [1.0, 1.5, 2.0])
+    def test_cyclic_lifted_diameter_within_3h_plus_2(self, n, density):
+        # h: the hop diameter of the condensation and its shortcuts, built
+        # with the regime and seed that build_shortcuts picks.
+        for seed in range(10):
+            g = generate(GenSpec("random_digraph", n, density=density, seed=seed))
+            dag = condense(g).dag
+            for d in (3, 4, 8, 16):
+                h = 0
+                if dag.n > 1:
+                    route = shortcut_small_diam if d <= small_diam_limit(dag.n) else shortcut_large_d
+                    inner = route(dag, d, seed=seed)
+                    h = verify_shortcut(dag, inner.array, d).achieved_diameter
+                lifted = verify_shortcut(g, build_shortcuts(g, d, seed=seed).array, d)
+                assert lifted.achieved_diameter <= 3 * h + 2, (seed, d, h)
 
     def test_rejects_tiny_diameter_and_bad_mode(self):
         with pytest.raises(ValueError):
