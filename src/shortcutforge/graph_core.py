@@ -245,10 +245,21 @@ class ReachabilityMatrix:
         self.packed.setflags(write=False)
         self.row_of.setflags(write=False)
 
-    def rows(self, vertices: np.ndarray | slice = slice(None)) -> np.ndarray:
-        """New C-contiguous bool array: row i says which vertices vertices[i] reaches."""
-        packed = self.packed[self.row_of[vertices]]
-        return np.unpackbits(packed, axis=1, count=self.n, bitorder="little").view(bool)
+    def rows(
+        self, vertices: np.ndarray | slice = slice(None), columns: np.ndarray | None = None
+    ) -> np.ndarray:
+        """New C-contiguous bool array: row i says which vertices vertices[i] reaches.
+
+        With ``columns``, entry (i, k) says whether vertices[i] reaches
+        columns[k]; the bits are read straight into that one matrix.
+        """
+        if columns is None:
+            packed = self.packed[self.row_of[vertices]]
+            return np.unpackbits(packed, axis=1, count=self.n, bitorder="little").view(bool)
+        bits = self.packed[self.row_of[vertices][:, None], columns >> 3]
+        bits >>= (columns & 7).astype(np.uint8)
+        bits &= 1
+        return bits.view(bool)
 
     def has(self, u: int, v: int) -> bool:
         return bool(self.packed[self.row_of[u], v >> 3] >> (v & 7) & 1)
@@ -411,6 +422,45 @@ def apsp(g: WeightedDigraph) -> np.ndarray:
     d = csgraph.dijkstra(csr_matrix((w.astype(np.float64), (u, v)), shape=(n, n)))
     d.setflags(write=False)
     return d
+
+
+def apsp_hops(g: WeightedDigraph, most: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """``apsp(g)`` and, per pair, the fewest edges on a shortest path (the most with ``most``).
+
+    One Dijkstra from every source on the weights n*w + 1 (n*w - 1 with
+    ``most``): a simple path of weight d and k <= n - 1 edges scores n*d + k
+    (n*d - k), so the least score has the least d and, among its paths, the
+    fewest (most) edges.  Scores are split back into d and k in int64, in
+    place, so three n x n matrices are live at the peak.  The hop matrix is
+    int64, 0 on unreachable pairs and the diagonal.
+
+    Float64 holds every score exactly only while n*((n-1)*W + 1) < 2**53,
+    W the largest weight; a ValueError is raised otherwise.
+    """
+    n = g.n
+    top = n * ((n - 1) * g.max_weight + 1)
+    if top >= 2**53:
+        raise ValueError(
+            f"hop-counting Dijkstra needs n*((n-1)*W + 1) < 2**53 to stay exact;"
+            f" n={n}, W={g.max_weight} give {top}"
+        )
+    u, v, w = g.array.T
+    scaled = (w * n + (-1 if most else 1)).astype(np.float64)
+    scores = csgraph.dijkstra(csr_matrix((scaled, (u, v)), shape=(n, n)))
+    unreached = np.isinf(scores)
+    scores[unreached] = 0
+    dist = scores.astype(np.int64)
+    if most:
+        dist += n - 1  # n*d - k + (n - 1) = n*d + (n - 1 - k)
+    hops = dist % n
+    dist //= n
+    if most:
+        np.subtract(n - 1, hops, out=hops)
+    scores[:] = dist
+    scores[unreached] = np.inf
+    scores.setflags(write=False)
+    hops.setflags(write=False)
+    return scores, hops
 
 
 def hop_limited_dist(g: WeightedDigraph, beta: int) -> np.ndarray:

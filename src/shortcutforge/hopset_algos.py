@@ -27,7 +27,8 @@ import numpy as np
 
 from ._intmath import ceil_root, floor_root
 from ._seeds import SITE_GROUP_SAMPLE, SITE_VERTEX_SAMPLE, child_seed, sample_mask, site_rng
-from .graph_core import TaggedEdges, WeightedDigraph, apsp, hop_limited_dist
+from .graph_core import TaggedEdges, WeightedDigraph, apsp, apsp_hops
+from .graph_core import hop_limited_dist  # noqa: F401  not called; perfbench/spans.py wraps it
 
 HOPSET_TAGS = ("induced_closure", "geometric_ladder")
 
@@ -104,32 +105,40 @@ class NicePathCollection:
         return len(self.paths)
 
 
-def _min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.empty_like(a)
-    step = max(1, 4_000_000 // max(1, a.shape[1] ** 2))
-    for lo in range(0, a.shape[0], step):
-        out[lo : lo + step] = (a[lo : lo + step, :, None] + b[None, :, :]).min(axis=1)
-    return out
+def _chain_lengths(sub: np.ndarray, end: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tight steps and longest tight chains into ``end``, on one interval.
 
-
-def _hop_powers(base: np.ndarray, h: int) -> list[np.ndarray]:
-    """[base, base^2, ..., base^h] in min-plus: entry k - 1 is the k-hop minimum."""
-    powers = [base]
-    for _ in range(h - 1):
-        powers.append(_min_plus(powers[-1], base))
-    return powers
+    ``sub`` is the distance matrix of a shortest-path interval.  A step
+    a -> b, b != a, is tight when d(a, b) + d(b, end) = d(a, end); returns
+    the tight mask and, per vertex, the most tight steps that reach ``end``.
+    Weights are >= 1, so each step lowers d(., end): vertices are settled in
+    rising d(., end), those at one distance together, each taking one more
+    than the longest chain among its tight steps.  O(|I|^2) in all.
+    """
+    to_end = sub[:, end]
+    tight = sub + to_end == to_end[:, None]
+    np.fill_diagonal(tight, False)
+    chain = np.zeros(len(sub), np.int64)
+    order = np.argsort(to_end, kind="stable")
+    starts = np.flatnonzero(np.diff(to_end[order])) + 1
+    for group in np.split(order, starts)[1:]:  # the first group is end alone
+        chain[group] = (tight[group] * (chain + 1)).max(axis=1)
+    return tight, chain
 
 
 def _extract_nice_paths(
-    d: np.ndarray, beta: int
+    d: np.ndarray, most_hops: np.ndarray | None, beta: int
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Greedy h-hop tight paths, h = beta // 12, least (dist, i, j) first.
 
     A pair is tight when some walk of exactly h closure edges through alive
     vertices weighs dist(i, j); the greedy takes the least tight pair, walks
-    back along smallest-id next vertices, kills the walk and repeats.  The
-    h-hop powers of the whole matrix are computed once, and candidates are
-    taken in (dist, i, j) order.  Two facts make that exact:
+    back along smallest-id next vertices, kills the walk and repeats.  Such
+    a walk splits a shortest path of G into h pieces, so with every vertex
+    alive a pair is tight iff one of its shortest paths has >= h edges, that
+    is ``most_hops`` >= h; at h = 1 every finite pair is, and ``most_hops``
+    is unused.  Candidates are those pairs, taken in (dist, i, j) order.
+    Two facts make that exact:
 
     - Monotonicity: vertices only die, so a pair that fails the test never
       passes later.  When a pair with both endpoints alive is reached, every
@@ -139,41 +148,55 @@ def _extract_nice_paths(
       from i to j lies on I(i, j) = {k alive : d(i,k) + d(k,j) = d(i,j)}, and
       so does every tight walk from a vertex of I(i, j) to j.  The test and
       the walk back give the same answer on I(i, j) as on all alive vertices.
+
+    At h >= 2 the test is ``_chain_lengths`` on I(i, j): the pair is tight
+    iff its longest tight chain has >= h steps, as a longer chain merges
+    into one of exactly h.  The walk back takes the smallest-id tight step
+    whose own chain is still long enough.  At h = 1 an alive finite pair is
+    always tight and is its own path.
     """
     h = beta // MIN_HOPBOUND
     paths: list[tuple[int, ...]] = []
     weights: list[tuple[int, ...]] = []
     if len(d) < h + 1:
         return paths, weights
-    base = d.copy()
-    np.fill_diagonal(base, np.inf)
-    ii, jj = np.nonzero(np.isfinite(base) & (_hop_powers(base, h)[-1] == base))
-    order = np.argsort(base[ii, jj], kind="stable")  # nonzero is (i, j)-sorted
+    if h == 1:
+        cand = np.isfinite(d)
+        np.fill_diagonal(cand, False)
+    else:
+        cand = most_hops >= h
+    ii, jj = np.nonzero(cand)
+    order = np.argsort(d[ii, jj], kind="stable")  # nonzero is (i, j)-sorted
 
     alive = np.ones(len(d), dtype=bool)
     for i, j in zip(ii[order].tolist(), jj[order].tolist()):
         if not (alive[i] and alive[j]):
             continue
-        ids = np.flatnonzero(alive & (d[i] + d[:, j] == d[i, j]))
-        sub = base[np.ix_(ids, ids)]
-        powers = _hop_powers(sub, h)
-        cur, end = np.searchsorted(ids, (i, j))
-        if powers[-1][cur, end] != sub[cur, end]:
-            continue
-
-        seq = [cur]
-        for level in range(h, 1, -1):
-            targets = sub[cur] + powers[level - 2][:, end]
-            cur = int(np.flatnonzero(targets == powers[level - 1][cur, end])[0])
-            seq.append(cur)
-        seq.append(end)
-        assert len(set(seq)) == h + 1, "shortest-path walk revisited a vertex"
-
-        verts = tuple(int(ids[s]) for s in seq)
+        verts: tuple[int, ...] = (i, j)
+        if h > 1:
+            ids = np.flatnonzero(alive & (d[i] + d[:, j] == d[i, j]))
+            cur, end = np.searchsorted(ids, (i, j))
+            tight, chain = _chain_lengths(d[np.ix_(ids, ids)], end)
+            if chain[cur] < h:
+                continue
+            seq = [cur]
+            for level in range(h - 1, 0, -1):
+                cur = int(np.flatnonzero(tight[cur] & (chain >= level))[0])
+                seq.append(cur)
+            seq.append(end)
+            assert len(set(seq)) == h + 1, "shortest-path walk revisited a vertex"
+            verts = tuple(ids[seq].tolist())
         paths.append(verts)
-        weights.append(tuple(int(sub[a, b]) for a, b in zip(seq, seq[1:])))
+        weights.append(tuple(d[verts[:-1], verts[1:]].astype(np.int64).tolist()))
         alive[list(verts)] = False
     return paths, weights
+
+
+def _dist_and_most_hops(g: WeightedDigraph, beta: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """G's distances, and the most hops on each pair's shortest paths when h >= 2."""
+    if beta // MIN_HOPBOUND == 1:
+        return apsp(g), None
+    return apsp_hops(g, most=True)
 
 
 def nice_collection(g: WeightedDigraph, beta: int) -> NicePathCollection:
@@ -183,16 +206,18 @@ def nice_collection(g: WeightedDigraph, beta: int) -> NicePathCollection:
     deletes path vertices, and remaining closure edges keep their weights
     since each is a direct edge.  Stops when no residual pair has a shortest
     path of exactly h = beta // 12 hops; then none has more, as the first h
-    hops of a longer one would be such a path.  Vertices only die, so a pair
-    without such a path never gains one (monotonicity), and every vertex of
-    such a path lies on its endpoints' alive shortest-path interval
-    (interval locality).  Together they let ``_extract_nice_paths`` test
-    each pair at most once, on that interval, and still pick what the
+    hops of a longer one would be such a path.  At h >= 2 one hop-counting
+    Dijkstra (``apsp_hops``) gives the distances and, per pair, the most
+    hops on a shortest path; at h = 1 ``apsp`` alone does.  Vertices only
+    die, so a pair without such a path never gains one (monotonicity), and
+    every vertex of such a path lies on its endpoints' alive shortest-path
+    interval (interval locality).  Together they let ``_extract_nice_paths``
+    test each pair at most once, on that interval, and still pick what the
     greedy picks.
     """
     if beta < MIN_HOPBOUND:
         raise ValueError(f"hop budget must be >= {MIN_HOPBOUND}, got {beta}")
-    paths, weights = _extract_nice_paths(apsp(g), beta)
+    paths, weights = _extract_nice_paths(*_dist_and_most_hops(g, beta), beta)
     return NicePathCollection(paths, weights, beta)
 
 
@@ -288,8 +313,8 @@ def hopset_small_hop(
         return HopsetEdges(n, (), (), params)
 
     half = frac / 2
-    dist = apsp(g)
-    paths, weights = _extract_nice_paths(dist, beta)
+    dist, most_hops = _dist_and_most_hops(g, beta)
+    paths, weights = _extract_nice_paths(dist, most_hops, beta)
     q = NicePathCollection(paths, weights, beta)
 
     path_of = np.full(n, -1, dtype=np.int64)  # -1: on no nice path
@@ -317,9 +342,11 @@ def hopset_large_hop(
 ) -> HopsetEdges:
     """Sampling construction for hop budgets of at least n^(1/4).
 
-    Samples ceil(c*(n/beta)^(4/3)*ln n) vertices, keeps sampled pairs whose
-    true distance is already achieved within hop radius r (least r with
-    r^3*n >= beta^4), and recurses with the small-hop construction; returned
+    Samples ceil(c*(n/beta)^(4/3)*ln n) vertices and keeps the sampled pairs
+    whose true distance is already achieved within hop radius r (least r
+    with r^3*n >= beta^4): one hop-counting Dijkstra, ``apsp_hops``, gives
+    each pair's distance and the fewest hops on its shortest paths.  It
+    recurses with the small-hop construction on the kept pairs; returned
     edges are re-expressed with exact distances of the original graph and
     keep the tag the inner construction gave them.
     """
@@ -340,10 +367,9 @@ def hopset_large_hop(
         return HopsetEdges(n, (), (), params)
 
     r = max(1, ceil_root(-(-(beta**4) // n), 3))
-    full = apsp(g)
-    capped = hop_limited_dist(g, r)
+    full, fewest_hops = apsp_hops(g)
     ix = np.ix_(sampled, sampled)
-    keep = np.isfinite(full[ix]) & (capped[ix] == full[ix])
+    keep = np.isfinite(full[ix]) & (fewest_hops[ix] <= r)
     np.fill_diagonal(keep, False)
     sub_w = full[ix][keep].astype(np.int64)
     sub = WeightedDigraph(len(sampled), np.column_stack([np.argwhere(keep), sub_w]))

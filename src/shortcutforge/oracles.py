@@ -20,14 +20,15 @@ Both OR successor rows through ``_grouped_or``, in blocks of bounded size,
 so neither builds an n x n matrix of numbers: at n = 4096 a bit matrix
 takes 2 MiB, and a float64 one 128 MiB.
 
-The hop-limited kernel is a different algorithm from the constructions'
-round-by-round DP: (min, +) squaring whose products recompute only the
-entries still above their floor, the union's exact all-hops distance, and
-which stops once none is left.  ``verify_hopset`` passes G's distances as
-the floor when no union row weighs less than them (the two are then equal);
-otherwise the kernel runs ``apsp`` on the deduplicated union.  ``apsp`` is
-not independent: it and ``graph_core.apsp`` both call scipy's Dijkstra on a
-CSR matrix.  The test suite cross-checks it against networkx's Dijkstra.
+The hop-limited kernel is (min, +) squaring whose products recompute only
+the entries still above their floor, the union's exact all-hops distance,
+and which stops once none is left.  The constructions count hops with a
+different algorithm, a Dijkstra on scaled weights (``graph_core.apsp_hops``).
+``verify_hopset`` passes G's distances as the floor when no union row weighs
+less than them (the two are then equal); otherwise the kernel runs ``apsp``
+on the deduplicated union.  ``apsp`` is not independent: it and
+``graph_core.apsp`` both call scipy's Dijkstra on a CSR matrix.  The test
+suite cross-checks it against networkx's Dijkstra.
 
 Distances are float64 with +inf for unreachable pairs.  They are exact when
 every weight is an integer and every finite walk weight that a kernel adds

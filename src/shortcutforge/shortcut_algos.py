@@ -59,9 +59,11 @@ def folklore(g: Digraph, d: int, c: float = 3.0, *, seed: int) -> ShortcutSet:
         return ShortcutSet(g.n, (), (), params)
     p = min(1.0, c * math.log(g.n) / d)
     sampled = np.flatnonzero(sample_mask(seed, SITE_VERTEX_SAMPLE, g.n, p))
-    bits = transitive_closure(g).rows(sampled)[:, sampled]
+    bits = transitive_closure(g).rows(sampled, sampled)
     np.fill_diagonal(bits, False)
-    return ShortcutSet(g.n, sampled[np.argwhere(bits)], "baseline", params)
+    pairs = sampled[np.argwhere(bits)]
+    del bits  # at most n x n bytes, not needed while the set is built
+    return ShortcutSet(g.n, pairs, "baseline", params)
 
 
 def first_incoming_edge(

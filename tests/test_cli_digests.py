@@ -125,12 +125,34 @@ algorithm=hopset_large family=weighted_random n=40 p=0.15 W=8 beta=16,24 eps=1/3
 BENCH_EXPECTED = "6389fcd9fd5be6110943fe123da5c154a2ab8f112465c4876ee06f7494d2ae03"
 
 
-def test_bench_csv_matches_pinned_digest(tmp_path):
-    # wall_ms, the last column, is a timing and the only column left out.
-    (tmp_path / "bench.cfg").write_text(BENCH_CONFIG)
+def _bench_rows(tmp_path, config: str) -> list[bytes]:
+    """The bench CSV lines for ``config``, each without wall_ms, its last column."""
+    (tmp_path / "bench.cfg").write_text(config)
     out = tmp_path / "rows.csv"
     assert main(["bench", "--config", str(tmp_path / "bench.cfg"), "--out", str(out)]) == 0
     lines = out.read_bytes().splitlines(keepends=True)
-    assert len(lines) == 14 and lines[0].endswith(b",wall_ms\r\n")
-    data = b"".join(line[: line.rindex(b",")] + b"\r\n" for line in lines)
-    assert hashlib.sha256(data).hexdigest() == BENCH_EXPECTED
+    assert lines[0].endswith(b",wall_ms\r\n")
+    return [line[: line.rindex(b",")] + b"\r\n" for line in lines]
+
+
+def test_bench_csv_matches_pinned_digest(tmp_path):
+    # wall_ms, the last column, is a timing and the only column left out.
+    lines = _bench_rows(tmp_path, BENCH_CONFIG)
+    assert len(lines) == 14
+    assert hashlib.sha256(b"".join(lines)).hexdigest() == BENCH_EXPECTED
+
+
+# Nice paths of h = beta // 12 >= 2 hops: the small-hop route at beta 24 and
+# 36, with weights up to 8 and with every weight 1, so many ties.
+BENCH_MULTIHOP_CONFIG = """\
+algorithm=hopset_small family=weighted_random n=40 p=0.15 W=8 beta=24,36 eps=1/4 seeds=0:3
+algorithm=hopset_small family=weighted_random n=48 p=0.08 W=1 beta=24,36 eps=1/3 c=2 seeds=0:2
+"""
+
+BENCH_MULTIHOP_EXPECTED = "8fb93d132b233ccdec9cfb8fe39db4d0be97d02fc791f37215be4357a366c30f"
+
+
+def test_bench_multihop_csv_matches_pinned_digest(tmp_path):
+    lines = _bench_rows(tmp_path, BENCH_MULTIHOP_CONFIG)
+    assert len(lines) == 11
+    assert hashlib.sha256(b"".join(lines)).hexdigest() == BENCH_MULTIHOP_EXPECTED

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -20,6 +21,7 @@ from shortcutforge.graph_core import (
     Digraph,
     WeightedDigraph,
     apsp,
+    apsp_hops,
     bounded_reachability,
     check_acyclic,
     closure_digraph,
@@ -446,6 +448,11 @@ class TestClosure:
                 got = reach.rows(vs)
                 assert got.flags.c_contiguous and got.flags.writeable
                 assert np.array_equal(got, want[vs])
+            cols = rng.integers(0, n, size=int(rng.integers(0, 2 * n)))
+            for vs in (rng.permutation(n), np.array([], int)):
+                got = reach.rows(vs, cols)
+                assert got.dtype == bool and got.flags.c_contiguous and got.flags.writeable
+                assert np.array_equal(got, want[np.ix_(vs, cols)])
             got[...] = False
             assert np.array_equal(reach.rows(), want)
             for u in range(n):
@@ -743,6 +750,89 @@ class TestDistances:
         dist = apsp(g)
         for u, v, w in wc.edges:
             assert w == dist[u, v]
+
+@st.composite
+def hop_test_graphs(draw, max_n: int) -> WeightedDigraph:
+    """Weighted digraphs with n from 0, cycles, unreachable pairs, and
+    weights all 1 or in [1, 2] (many ties) as well as spread out."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    p = draw(st.sampled_from([0.0, 0.15, 0.3, 0.6]))
+    w_max = draw(st.sampled_from([1, 2, 9, 10**6]))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return random_weighted(n, p, w_max, np.random.default_rng(seed))
+
+
+def shortest_path_hops_by_enumeration(g: WeightedDigraph) -> tuple[np.ndarray, np.ndarray]:
+    """Fewest and most edges over the shortest simple paths of every pair,
+    from every simple path; 0 where unreachable."""
+    succ: dict[int, list[tuple[int, int]]] = {u: [] for u in range(g.n)}
+    for u, v, w in g.edges:
+        succ[u].append((v, w))
+    best = {(s, s): (0, 0, 0) for s in range(g.n)}  # (weight, fewest, most)
+    for s in range(g.n):
+        stack = [(s, 0, 0, frozenset([s]))]
+        while stack:
+            u, weight, hops, seen = stack.pop()
+            for v, w in succ[u]:
+                if v in seen:
+                    continue
+                key, cand = (s, v), (weight + w, hops + 1)
+                old = best.get(key)
+                if old is None or cand[0] < old[0]:
+                    best[key] = (cand[0], cand[1], cand[1])
+                elif cand[0] == old[0]:
+                    best[key] = (old[0], min(old[1], cand[1]), max(old[2], cand[1]))
+                stack.append((v, *cand, seen | {v}))
+    fewest = np.zeros((g.n, g.n), np.int64)
+    most = np.zeros((g.n, g.n), np.int64)
+    for (s, t), (_, lo, hi) in best.items():
+        fewest[s, t], most[s, t] = lo, hi
+    return fewest, most
+
+
+class TestHopCounts:
+    """``apsp_hops``: distances with the fewest or most hops on a shortest path."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(g=hop_test_graphs(max_n=7))
+    @example(g=WeightedDigraph(0, []))
+    @example(g=WeightedDigraph(1, []))
+    @example(g=WeightedDigraph(4, [(0, 1, 1), (1, 2, 1), (0, 2, 2), (2, 3, 1), (3, 0, 1)]))
+    def test_hop_counts_match_path_enumeration(self, g):
+        fewest, most = shortest_path_hops_by_enumeration(g)
+        for flag, want in ((False, fewest), (True, most)):
+            dist, hops = apsp_hops(g, most=flag)
+            assert np.array_equal(dist, apsp(g))
+            assert np.array_equal(hops, want)
+            assert hops.dtype == np.int64 and dist.dtype == np.float64
+            assert not dist.flags.writeable and not hops.flags.writeable
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=hop_test_graphs(max_n=24))
+    @example(g=WeightedDigraph(0, []))
+    @example(g=WeightedDigraph(1, []))
+    def test_fewest_hops_mask_matches_hop_limited_dist(self, g):
+        dist, fewest = apsp_hops(g)
+        reached = np.isfinite(dist)
+        for r in range(g.n + 1):
+            want = reached & (hop_limited_dist(g, r) == apsp(g))
+            assert np.array_equal(reached & (fewest <= r), want), f"r={r}"
+
+    @pytest.mark.parametrize("n", [2, 3, 40, 300])
+    def test_exactness_bound(self, n):
+        w = ((2**53 - 1) // n - 1) // (n - 1)  # the largest w with n*((n-1)*w + 1) < 2**53
+        assert n * ((n - 1) * w + 1) < 2**53 <= n * ((n - 1) * (w + 1) + 1)
+
+        def heavy_path(weight: int) -> WeightedDigraph:
+            # the longest shortest path there is: n - 1 edges of the largest weight
+            return WeightedDigraph(n, [(i, i + 1, weight) for i in range(n - 1)])
+
+        for most in (False, True):
+            dist, hops = apsp_hops(heavy_path(w), most)
+            assert dist[0, n - 1] == (n - 1) * w and hops[0, n - 1] == n - 1
+            with pytest.raises(ValueError, match=re.escape("n*((n-1)*W + 1) < 2**53")):
+                apsp_hops(heavy_path(w + 1), most)
+
 
 # Fields as int() reads them: signs, underscores, leading zeros, non-ASCII
 # digits, and values past int64.

@@ -8,15 +8,23 @@ from typing import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shortcutforge import hopset_algos
-from shortcutforge._seeds import SITE_GROUP_SAMPLE, SITE_VERTEX_SAMPLE, sample_mask
+from shortcutforge._intmath import ceil_root
+from shortcutforge._seeds import (
+    SITE_GROUP_SAMPLE,
+    SITE_VERTEX_SAMPLE,
+    child_seed,
+    sample_mask,
+    site_rng,
+)
 from shortcutforge.generators import GenSpec, generate
 from shortcutforge.graph_core import (
     WeightedDigraph,
     apsp,
+    apsp_hops,
     hop_limited_dist,
 )
 from shortcutforge.hopset_algos import (
@@ -142,35 +150,58 @@ class TestNiceCollection:
 
 
 class TestExtractCost:
-    """The h-hop powers of the full matrix are built once per extraction."""
+    """At h >= 2 one most-hops kernel call per extraction, and each re-check
+    a chain DP on its interval; at h = 1 neither runs."""
 
     @staticmethod
-    def count_products(monkeypatch) -> list[tuple[int, ...]]:
-        shapes: list[tuple[int, ...]] = []
-        real = hopset_algos._min_plus
+    def spy(monkeypatch) -> tuple[list[int], list[bool]]:
+        """Sizes of the intervals the chain DP runs on, and each kernel call's ``most``."""
+        sizes: list[int] = []
+        kernels: list[bool] = []
+        real_dp, real_kernel = hopset_algos._chain_lengths, hopset_algos.apsp_hops
 
-        def spy(a, b):
-            shapes.append(a.shape)
-            return real(a, b)
+        def dp(sub, end):
+            sizes.append(len(sub))
+            return real_dp(sub, end)
 
-        monkeypatch.setattr(hopset_algos, "_min_plus", spy)
-        return shapes
+        def kernel(g, most=False):
+            kernels.append(most)
+            return real_kernel(g, most)
 
-    def test_unit_path_one_full_product(self, monkeypatch):
-        shapes = self.count_products(monkeypatch)
-        paths, _ = _extract_nice_paths(apsp(unit_path(25)), 24)
-        assert len(paths) == 8
-        # one full product, then one per path on its interval {3i, 3i+1, 3i+2}
-        assert shapes == [(25, 25)] + [(3, 3)] * 8
+        monkeypatch.setattr(hopset_algos, "_chain_lengths", dp)
+        monkeypatch.setattr(hopset_algos, "apsp_hops", kernel)
+        return sizes, kernels
 
-    @pytest.mark.parametrize("beta", [12, 24, 36, 48])
-    def test_full_products_independent_of_path_count(self, monkeypatch, beta):
-        shapes = self.count_products(monkeypatch)
-        paths, _ = _extract_nice_paths(apsp(weighted_grid(100, 3, 7)), beta)
-        assert len(paths) >= 2
-        assert shapes.count((100, 100)) == beta // MIN_HOPBOUND - 1
+    def test_unit_path_one_kernel_call(self, monkeypatch):
+        sizes, kernels = self.spy(monkeypatch)
+        assert len(nice_collection(unit_path(25), 24)) == 8
+        # one kernel call, then one DP per path on its interval {3i, 3i+1, 3i+2}
+        assert kernels == [True] and sizes == [3] * 8
+
+    @pytest.mark.parametrize("beta", [24, 36, 48])
+    def test_dp_runs_on_intervals(self, monkeypatch, beta):
+        sizes, kernels = self.spy(monkeypatch)
+        assert len(nice_collection(weighted_grid(100, 3, 7), beta)) >= 2
+        assert kernels == [True]
         # every re-check runs on a shortest-path interval, not the residual graph
-        assert all(rows < 50 for rows, _ in shapes if rows != 100)
+        assert sizes and max(sizes) < 50
+
+    @pytest.mark.parametrize(
+        "build",
+        [nice_collection, lambda g, beta: hopset_small_hop(g, beta, EPS14, seed=1)],
+        ids=["nice_collection", "hopset_small_hop"],
+    )
+    def test_one_hop_runs_no_kernel_and_no_dp(self, monkeypatch, build):
+        sizes, kernels = self.spy(monkeypatch)
+        assert len(build(weighted_grid(100, 3, 7), 12))
+        assert kernels == [] and sizes == []
+
+    def test_large_hop_one_fewest_hops_call(self, monkeypatch):
+        sizes, kernels = self.spy(monkeypatch)
+        g = random_weighted(80, 0.08, 9, 3)
+        assert len(hopset_large_hop(g, 12, EPS14, seed=1))
+        # the inner small-hop build runs at h = 1
+        assert kernels == [False] and sizes == []
 
     @pytest.mark.parametrize(
         "g, beta",
@@ -180,10 +211,10 @@ class TestExtractCost:
             (unit_path(4), 60),
         ],
     )
-    def test_too_few_vertices_is_empty_without_products(self, monkeypatch, g, beta):
-        shapes = self.count_products(monkeypatch)
-        assert _extract_nice_paths(apsp(g), beta) == ([], [])
-        assert shapes == []
+    def test_too_few_vertices_is_empty_without_dp(self, monkeypatch, g, beta):
+        sizes, _ = self.spy(monkeypatch)
+        assert _extract_nice_paths(*apsp_hops(g, most=True), beta) == ([], [])
+        assert sizes == []
 
     @pytest.mark.parametrize(
         "g",
@@ -193,10 +224,10 @@ class TestExtractCost:
             WeightedDigraph(8, [(i, j, 1) for i in range(8) for j in range(i + 1, 8)]),
         ],
     )
-    def test_no_candidate_pair_is_empty_after_one_product(self, monkeypatch, g):
-        shapes = self.count_products(monkeypatch)
-        assert _extract_nice_paths(apsp(g), 24) == ([], [])
-        assert shapes == [(g.n, g.n)]
+    def test_no_candidate_pair_is_empty_without_dp(self, monkeypatch, g):
+        sizes, _ = self.spy(monkeypatch)
+        assert _extract_nice_paths(*apsp_hops(g, most=True), 24) == ([], [])
+        assert sizes == []
 
 
 class TestPartition:
@@ -470,7 +501,7 @@ def _reference_small_hop(
 
     half = frac / 2
     dist = apsp(g)
-    paths, weights = _extract_nice_paths(dist, beta)
+    paths, weights = _extract_nice_paths(dist, apsp_hops(g, most=True)[1], beta)
     q = NicePathCollection(paths, weights, beta)
 
     rows: list[tuple[int, int, int, str]] = []
@@ -520,6 +551,68 @@ def test_small_hop_matches_per_row_reference(n, p, w_max, beta, eps, c, seed):
     g = random_weighted(n, p, w_max, seed)
     got = hopset_small_hop(g, beta, eps, c, seed=seed)
     want = _reference_small_hop(g, beta, eps, c, seed=seed)
+    assert got.tagged == want.tagged
+    assert got == want
+
+
+def _reference_large_hop(
+    g: WeightedDigraph,
+    beta: int,
+    eps: Fraction | str,
+    c: float = 3.0,
+    *,
+    seed: int,
+) -> HopsetEdges:
+    """The large-hop construction as it was before the hop-counting
+    Dijkstra: a sampled pair is kept when ``hop_limited_dist`` at radius r
+    already meets ``apsp``."""
+    frac = as_eps(eps)
+    params = HopsetParams(beta, frac, c, seed)
+    n = g.n
+    if n <= 1:
+        return HopsetEdges(n, (), (), params)
+
+    size = min(n, math.ceil(c * (n / beta) ** (4.0 / 3.0) * math.log(n)))
+    rng = site_rng(seed, SITE_VERTEX_SAMPLE)
+    sampled = np.sort(rng.choice(n, size=size, replace=False))
+    if len(sampled) <= 1:
+        return HopsetEdges(n, (), (), params)
+
+    r = max(1, ceil_root(-(-(beta**4) // n), 3))
+    full = apsp(g)
+    capped = hop_limited_dist(g, r)
+    ix = np.ix_(sampled, sampled)
+    keep = np.isfinite(full[ix]) & (capped[ix] == full[ix])
+    np.fill_diagonal(keep, False)
+    sub_w = full[ix][keep].astype(np.int64)
+    sub = WeightedDigraph(len(sampled), np.column_stack([np.argwhere(keep), sub_w]))
+
+    beta_sub = max(MIN_HOPBOUND, int(len(sampled) ** 0.25 / math.log(n)))
+    inner = hopset_small_hop(sub, beta_sub, frac, c, seed=child_seed(seed))
+    a, b = sampled[inner.array[:, :2].T]
+    rows = np.column_stack([a, b, full[a, b].astype(np.int64)])
+    return HopsetEdges(n, rows, inner.tags, params)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=60),
+    # sparse graphs have pairs whose fewest hops are exactly the radius r
+    p=st.sampled_from([0.0, 0.02, 0.03, 0.05, 0.1, 0.3]),
+    w_max=st.sampled_from([1, 2, 9, 10**6]),
+    beta=st.sampled_from([12, 16, 24, 48]),
+    eps=EPS_CHOICES,
+    c=st.sampled_from([1.0, 3.0, 8.0]),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+@example(n=1, p=0.0, w_max=1, beta=12, eps=EPS14, c=3.0, seed=0)
+@example(n=40, p=0.1, w_max=1, beta=12, eps=EPS14, c=8.0, seed=1)  # all weights 1: ties
+# a kept pair at exactly r = 8 hops whose path runs through unsampled vertices
+@example(n=45, p=0.03, w_max=1, beta=12, eps=EPS14, c=1.0, seed=4)
+def test_large_hop_matches_hop_dp_reference(n, p, w_max, beta, eps, c, seed):
+    g = random_weighted(n, p, w_max, seed)
+    got = hopset_large_hop(g, beta, eps, c, seed=seed)
+    want = _reference_large_hop(g, beta, eps, c, seed=seed)
     assert got.tagged == want.tagged
     assert got == want
 
@@ -617,5 +710,5 @@ def test_nice_paths_match_per_path_reference(family, n, p, w_max, beta, seed):
         g = weighted_grid(n, w_max, seed)
     else:
         g = random_weighted(n, p, w_max, seed)
-    dist = apsp(g)
-    assert _extract_nice_paths(dist, beta) == _reference_extract_nice_paths(dist, beta)
+    dist, most_hops = apsp_hops(g, most=True)
+    assert _extract_nice_paths(dist, most_hops, beta) == _reference_extract_nice_paths(dist, beta)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,19 @@ class TestFolklore:
         g = path_graph(8)
         hs = folklore(g, 3, 64.0, seed=0)
         assert hs.edges == frozenset(closure_pairs(g))
+
+    def test_capped_probability_peak_memory(self):
+        # p caps at 1, so every vertex is sampled: the sampled block is one
+        # n x n bool matrix (16 MiB), next to the closure's 2 MiB of packed rows.
+        g = generate(GenSpec("random_dag", 4096, density=2.0, seed=1))
+        tracemalloc.start()
+        try:
+            hs = folklore(g, 16, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(hs) == 56_232
+        assert peak <= 19 * 2**20, peak
 
     def test_statistical_three_d(self):
         hits = 0
