@@ -16,10 +16,10 @@ from .graph_core import (
     WeightedDigraph,
     apsp,
     bounded_reachability,
+    check_acyclic,
     condense,
     dump_edge_list,
     hop_limited_dist,
-    is_acyclic,
     load_edge_list,
     load_edge_rows,
     scc_star_edges,
@@ -74,10 +74,10 @@ __all__ = [
     "WeightedDigraph",
     "apsp",
     "bounded_reachability",
+    "check_acyclic",
     "condense",
     "dump_edge_list",
     "hop_limited_dist",
-    "is_acyclic",
     "load_edge_list",
     "load_edge_rows",
     "scc_star_edges",

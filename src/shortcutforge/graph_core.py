@@ -11,9 +11,9 @@ each hold one read-only int64 ``array`` sorted by (u, v), of shape (m, 2) or
 (m, 3) with the weight last; TaggedEdges adds ``codes``, indices into TAGS.
 ``edges`` (a frozenset of tuples) and ``tagged`` (row tuples ending in the tag
 name) are views built on first access; kernels read the arrays.  The edge
-file formats, tagged or not, and the bit layout of a ReachabilityMatrix (bit v
-of a row is vertex v) are also decided here alone; other modules read the
-bits through rows() and has().
+file formats, tagged or not, and the bit layout of a ReachabilityMatrix (row u
+is vertex u's, and bit v of a row is vertex v) are also decided here alone;
+other modules read the bits through rows() and has().
 """
 
 from __future__ import annotations
@@ -229,21 +229,18 @@ class TaggedEdges(_EdgeArray):
 
 @dataclass(frozen=True, eq=False)
 class ReachabilityMatrix:
-    """Reachability as packed rows: u reaches v iff bit v of packed[row_of[u]].
+    """Reachability as packed rows: u reaches v iff bit v of packed[u].
 
-    ``packed``: read-only uint8, one row per condensation component and one
-    bit per vertex, little-endian, ceil(n/8) bytes a row; ``row_of``: each
-    vertex's row.  Reflexive by convention.  Vertices of one SCC share a
-    row, so a closure is acyclic iff no two vertices do.
+    ``packed``: read-only uint8, one row per vertex (row u is vertex u's) and
+    one bit per vertex, little-endian, ceil(n/8) bytes a row.  Reflexive by
+    convention.
     """
 
     n: int
     packed: np.ndarray
-    row_of: np.ndarray
 
     def __post_init__(self) -> None:
         self.packed.setflags(write=False)
-        self.row_of.setflags(write=False)
 
     def rows(
         self, vertices: np.ndarray | slice = slice(None), columns: np.ndarray | None = None
@@ -254,15 +251,15 @@ class ReachabilityMatrix:
         columns[k]; the bits are read straight into that one matrix.
         """
         if columns is None:
-            packed = self.packed[self.row_of[vertices]]
-            return np.unpackbits(packed, axis=1, count=self.n, bitorder="little").view(bool)
-        bits = self.packed[self.row_of[vertices][:, None], columns >> 3]
+            bits = np.unpackbits(self.packed[vertices], axis=1, count=self.n, bitorder="little")
+            return bits.view(bool)
+        bits = self.packed[np.arange(self.n)[vertices][:, None], columns >> 3]
         bits >>= (columns & 7).astype(np.uint8)
         bits &= 1
         return bits.view(bool)
 
     def has(self, u: int, v: int) -> bool:
-        return bool(self.packed[self.row_of[u], v >> 3] >> (v & 7) & 1)
+        return bool(self.packed[u, v >> 3] >> (v & 7) & 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,23 +280,24 @@ def transitive_closure(g: Digraph) -> ReachabilityMatrix:
 
     When every edge runs from a smaller id to a larger one the ids already
     are such an order and each vertex is its own component, so no SCC pass
-    runs.  Each component's row starts as its members' bits and ORs in the
-    finished rows of its successors, last id first; numpy byte ops only, no
-    BLAS call, and no n x n matrix is built.
+    runs and the component rows are the vertex rows; otherwise each vertex
+    copies its component's row at the end.  Each component's row starts as
+    its members' bits and ORs in the finished rows of its successors, last id
+    first; numpy byte ops only, no BLAS call, and no n x n matrix is built.
     """
+    ids = np.arange(g.n)
     if _forward_ids(g):
-        dag, row_of = g, np.arange(g.n)
+        dag, component_of = g, ids
     else:
         cond = condense(g)
-        dag, row_of = cond.dag, cond.component_of
-    ids = np.arange(g.n)
+        dag, component_of = cond.dag, cond.component_of
     rows = np.zeros((dag.n, -(-g.n // 8)), dtype=np.uint8)
-    np.bitwise_or.at(rows, (row_of, ids >> 3), np.left_shift(1, ids & 7).astype(np.uint8))
+    np.bitwise_or.at(rows, (component_of, ids >> 3), np.left_shift(1, ids & 7).astype(np.uint8))
     succ = np.split(dag.array[:, 1], np.searchsorted(dag.array[:, 0], ids[1 : dag.n]))
     for c in range(dag.n - 1, -1, -1):
         if succ[c].size:
             rows[c] |= np.bitwise_or.reduce(rows[succ[c]], axis=0)
-    return ReachabilityMatrix(g.n, rows, row_of)
+    return ReachabilityMatrix(g.n, rows if dag is g else rows[component_of])
 
 
 def closure_digraph(reach: np.ndarray) -> Digraph:
@@ -323,28 +321,24 @@ def bounded_reachability(g: Digraph, hops: int) -> np.ndarray:
     return reach
 
 
-def check_acyclic(reach: ReachabilityMatrix) -> None:
-    """Raise ValueError naming two vertices of one SCC, if a closure has any.
-
-    The pair is the smallest vertex that shares its row and the next vertex
-    on that row.  Reads only ``row_of``, so ``reach`` must be a closure.
-    """
-    row_of = reach.row_of
-    shared = np.flatnonzero(np.bincount(row_of, minlength=len(reach.packed))[row_of] > 1)
-    if shared.size:
-        u = int(shared[0])
-        v = int(shared[row_of[shared] == row_of[u]][1])
-        raise ValueError(f"input must be acyclic; {u} and {v} lie on a cycle")
-
-
 def _forward_ids(g: Digraph) -> bool:
     """Every edge runs from a smaller id to a larger one, so g is acyclic."""
     return bool((g.array[:, 0] < g.array[:, 1]).all())
 
 
-def is_acyclic(g: Digraph) -> bool:
-    """Forward ids answer at once; otherwise one SCC pass, and no closure."""
-    return _forward_ids(g) or condense(g).dag.n == g.n
+def check_acyclic(g: Digraph) -> None:
+    """Raise ValueError naming two vertices of one SCC, if g has any.
+
+    The pair is the smallest vertex on a cycle and the next vertex of its
+    SCC.  Forward ids answer at once; otherwise one SCC pass, and no closure.
+    """
+    if _forward_ids(g):
+        return
+    comp = condense(g).component_of
+    shared = np.flatnonzero(np.bincount(comp)[comp] > 1)
+    if shared.size:
+        u, v = map(int, shared[comp[shared] == comp[shared[0]]][:2])
+        raise ValueError(f"input must be acyclic; {u} and {v} lie on a cycle")
 
 
 def transitive_reduction(dag: Digraph) -> Digraph:
@@ -354,10 +348,9 @@ def transitive_reduction(dag: Digraph) -> Digraph:
     vertex's detour row is the OR of its successors' packed closure rows,
     each without its own bit; an edge survives iff its bit there is clear.
     """
-    closure = transitive_closure(dag)
-    check_acyclic(closure)
+    check_acyclic(dag)
     ids = np.arange(dag.n)
-    strict = closure.packed[closure.row_of]  # acyclic: one row per vertex
+    strict = transitive_closure(dag).packed.copy()
     strict[ids, ids >> 3] ^= np.left_shift(1, ids & 7).astype(np.uint8)
     detour = np.zeros_like(strict)
     u, v = dag.array.T

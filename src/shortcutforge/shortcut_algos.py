@@ -25,9 +25,9 @@ from .graph_core import (
     ReachabilityMatrix,
     TaggedEdges,
     bounded_reachability,
+    check_acyclic,
     closure_digraph,
     condense,
-    is_acyclic,
     scc_star_edges,
     transitive_closure,
     transitive_reduction,
@@ -144,8 +144,7 @@ def shortcut_large_d(
         raise ValueError(f"diameter target {d} below floor(n^(1/3)) = {floor_root(n, 3)}")
     if n <= 1:
         return ShortcutSet(n, (), (), params)
-    if not is_acyclic(g):
-        raise ValueError("input must be acyclic")
+    check_acyclic(g)
 
     p = min(1.0, c * math.sqrt(n) * math.log(n) / d**1.5)
     sampled = np.flatnonzero(sample_mask(seed, SITE_VERTEX_SAMPLE, n, p))

@@ -28,7 +28,6 @@ from shortcutforge.graph_core import (
     condense,
     dump_edge_list,
     hop_limited_dist,
-    is_acyclic,
     load_edge_list,
     load_edge_rows,
     scc_star_edges,
@@ -453,6 +452,7 @@ class TestClosure:
                 got = reach.rows(vs, cols)
                 assert got.dtype == bool and got.flags.c_contiguous and got.flags.writeable
                 assert np.array_equal(got, want[np.ix_(vs, cols)])
+            assert np.array_equal(reach.rows(columns=cols), reach.rows()[:, cols])
             got[...] = False
             assert np.array_equal(reach.rows(), want)
             for u in range(n):
@@ -489,34 +489,32 @@ class TestClosure:
         wants = [closure_oracle(g) for g in graphs]
         monkeypatch.setattr(graph_core, "condense", refuse)
         for g, want in zip(graphs, wants):
-            assert is_acyclic(g)
-            reach = transitive_closure(g)
-            assert np.array_equal(reach.row_of, np.arange(g.n))
-            assert np.array_equal(reach.rows(), want)
+            check_acyclic(g)
+            assert np.array_equal(transitive_closure(g).rows(), want)
         with pytest.raises(AssertionError, match="forward-id"):
             transitive_closure(Digraph(2, [(1, 0)]))
 
     def test_cycle_witness_matches_matrix_scan(self):
-        # Several SCCs, on permuted ids: the packed check names the same
-        # pair as the scan of bits & bits.T it replaced.
+        # Several SCCs, on permuted ids: the condensation check names the
+        # same pair as the scan of bits & bits.T it replaced.
         rng = np.random.default_rng(113)
         named = 0
         for _ in range(60):
             n = int(rng.integers(1, 48))
             g = random_digraph(n, float(rng.uniform(0.0, 0.12)), rng)
             want = cycle_message(check_acyclic_by_bits, closure_oracle(g))
-            assert cycle_message(check_acyclic, transitive_closure(g)) == want
-            assert is_acyclic(g) == (want is None)
+            assert cycle_message(check_acyclic, g) == want
             named += want is not None
         assert named > 20
 
-    def test_is_acyclic_builds_no_closure(self, monkeypatch):
+    def test_check_acyclic_builds_no_closure(self, monkeypatch):
         def refuse(g):
             raise AssertionError("closure built")
 
         monkeypatch.setattr(graph_core, "transitive_closure", refuse)
-        assert is_acyclic(generate(GenSpec("random_dag", 50, p=0.2, seed=1)))
-        assert not is_acyclic(Digraph(3, [(0, 1), (1, 2), (2, 0)]))
+        check_acyclic(generate(GenSpec("random_dag", 50, p=0.2, seed=1)))
+        with pytest.raises(ValueError, match="^input must be acyclic; 0 and 1 lie on a cycle$"):
+            check_acyclic(Digraph(3, [(0, 1), (1, 2), (2, 0)]))
 
     def test_empty_and_single(self):
         assert transitive_closure(Digraph(1, [])).rows().tolist() == [[True]]
@@ -638,7 +636,7 @@ class TestCondense:
         assert cond.dag.n == 3
         stars = scc_star_edges(g, cond)
         assert len(stars) <= 2 * (g.n - cond.dag.n)
-        assert is_acyclic(cond.dag)
+        check_acyclic(cond.dag)
 
     @staticmethod
     def assert_same_as_tarjan(g: Digraph) -> None:
