@@ -2,8 +2,9 @@
 
 Exit codes: 0 ok, 1 verification failure, 2 usage or input error.  Every
 randomized subcommand takes a mandatory --seed, so identical command lines
-produce identical output files.  Bench runs its grid cells one after another
-and emits one CSV row per cell, in config order.
+produce identical output files.  Bench checks every cell's D, or beta and
+eps, then runs its grid cells one after another and emits one CSV row per
+cell, in config order.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from . import __version__
 from .chain_decomp import decompose
 from .generators import FAMILIES, GenSpec, generate, subdivide
 from .graph_core import (
+    MAX_VERTICES,
     Digraph,
     WeightedDigraph,
     dump_edge_list,
@@ -30,8 +32,10 @@ from .graph_core import (
     transitive_closure,
 )
 from .hopset_algos import HOPSET_TAGS, as_eps, build_hopset, hopset_large_hop, hopset_small_hop
+from .hopset_algos import check_hop_budget, check_large_hop_budget
 from .oracles import verify_hopset, verify_shortcut
 from .shortcut_algos import TAGS, build_shortcuts, folklore, tc_spanner
+from .shortcut_algos import check_folklore, shortcut_regime
 
 SHORTCUT_MODES = ("auto", "small", "large", "folklore", "tcspanner")
 BENCH_ALGOS = {
@@ -242,10 +246,33 @@ def _line_cells(lineno: int, body: str) -> list[tuple]:
     eps = Fraction(fields["eps"]) if hopset else None
     cs = [positive_float(v) for v in fields.get("c", "3").split(",")]
     seeds = _parse_seed_values(fields.get("seeds", "0"))
+    if 0 <= n <= MAX_VERTICES:  # otherwise generate rejects n when the cell runs
+        for knob in knobs:
+            _check_knobs(algorithm, family, n, knob, eps)
     return [
         (lineno, algorithm, GenSpec(family, n, p, density, W, seed), knob, eps, c)
         for knob, c, seed in product(knobs, cs, seeds)
     ]
+
+
+def _check_knobs(algorithm: str, family: str, n: int, knob: int, eps: Fraction | None) -> None:
+    """Raise the ValueError the cell's construction raises for its D, or beta and eps.
+
+    The shortcut routes run on the condensation, which has n vertices in the
+    acyclic families; a random_digraph's may have fewer, so there only the
+    bounds that do not depend on n are checked before the cell runs.
+    """
+    if eps is not None:
+        as_eps(eps)
+        if algorithm == "hopset_large":
+            check_large_hop_budget(n, knob)
+        else:
+            check_hop_budget(knob)
+    elif algorithm == "folklore":
+        check_folklore(knob)
+    else:
+        mode = "small" if algorithm == "small_diam" else "large"
+        shortcut_regime(0 if family == "random_digraph" else n, knob, mode)
 
 
 def _parse_bench_config(text: str) -> list[tuple]:

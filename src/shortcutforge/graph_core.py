@@ -77,12 +77,13 @@ def _kept_rows(n: int, rows: np.ndarray, first_wins: bool = False) -> np.ndarray
             a, b, w = rows[np.argmax(light)].tolist()
             raise ValueError(f"edge ({a}, {b}) has weight {w} < 1")
     key = u * n + v
+    if rows.shape[1] == 2 or first_wins:
+        return np.unique(key, return_index=True)[1]
     _, first, which = np.unique(key, return_index=True, return_inverse=True)
-    if rows.shape[1] == 3 and not first_wins:
-        clash = np.flatnonzero(rows[:, 2] != rows[first[which], 2])
-        if clash.size:
-            a, b = rows[clash[np.argmin(key[clash])], :2].tolist()
-            raise ValueError(f"duplicate weights for edge pair ({a}, {b})")
+    clash = np.flatnonzero(rows[:, 2] != rows[first[which], 2])
+    if clash.size:
+        a, b = rows[clash[np.argmin(key[clash])], :2].tolist()
+        raise ValueError(f"duplicate weights for edge pair ({a}, {b})")
     return first
 
 

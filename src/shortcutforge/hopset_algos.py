@@ -11,8 +11,8 @@ paths (the "nice" collection), fully interconnects each path's vertex set at
 exact distances, cuts paths into short subpaths, and attaches sampled
 vertices to sampled subpaths through geometric distance ladders.  The
 large-hop construction subsamples, keeps sampled pairs whose distance is
-achieved within a bounded hop radius, and recurses with the small-hop
-construction on that graph.
+achieved within a bounded hop radius, and runs the small-hop construction
+on that graph; when the sample is all of V, on G's own distances.
 """
 
 from __future__ import annotations
@@ -46,6 +46,18 @@ def as_eps(eps: Fraction | str) -> Fraction:
     if not 0 < frac < 1:
         raise ValueError(f"eps must lie in (0, 1), got {frac}")
     return frac
+
+
+def check_hop_budget(beta: int) -> None:
+    """Raise ValueError for a hop budget below MIN_HOPBOUND."""
+    if beta < MIN_HOPBOUND:
+        raise ValueError(f"hop budget must be >= {MIN_HOPBOUND}, got {beta}")
+
+
+def check_large_hop_budget(n: int, beta: int) -> None:
+    """Raise ValueError for a large-hop budget below max(MIN_HOPBOUND, floor(n^(1/4)))."""
+    if beta < MIN_HOPBOUND or beta < floor_root(n, 4):
+        raise ValueError(f"hop budget {beta} below max({MIN_HOPBOUND}, floor(n^(1/4)))")
 
 
 @dataclass(frozen=True)
@@ -83,8 +95,7 @@ class NicePathCollection:
         edge_weights: Iterable[Sequence[int]],
         beta: int,
     ) -> None:
-        if beta < MIN_HOPBOUND:
-            raise ValueError(f"hop budget must be >= {MIN_HOPBOUND}, got {beta}")
+        check_hop_budget(beta)
         ps = tuple(tuple(int(v) for v in p) for p in paths)
         ws = tuple(tuple(int(w) for w in w_) for w_ in edge_weights)
         if len(ps) != len(ws):
@@ -215,8 +226,7 @@ def nice_collection(g: WeightedDigraph, beta: int) -> NicePathCollection:
     test each pair at most once, on that interval, and still pick what the
     greedy picks.
     """
-    if beta < MIN_HOPBOUND:
-        raise ValueError(f"hop budget must be >= {MIN_HOPBOUND}, got {beta}")
+    check_hop_budget(beta)
     paths, weights = _extract_nice_paths(*_dist_and_most_hops(g, beta), beta)
     return NicePathCollection(paths, weights, beta)
 
@@ -290,30 +300,25 @@ def ladder_size_limit(n: int, max_weight: int, eps: Fraction) -> int:
     return k + 1
 
 
-def hopset_small_hop(
-    g: WeightedDigraph,
+def _small_hop_rows(
+    dist: np.ndarray,
+    most_hops: np.ndarray | None,
     beta: int,
-    eps: Fraction | str,
-    c: float = 3.0,
-    *,
+    half: Fraction,
+    c: float,
     seed: int,
-) -> HopsetEdges:
-    """Nice-path construction for hop budgets up to n^(1/4).
+) -> tuple[np.ndarray, np.ndarray]:
+    """The small-hop construction's rows, from distances alone.
 
-    Runs with eps' = eps/2 internally: the per-path induced closures are
-    exact, the ladders lose (1+eps') twice along a detour, and the halved
-    knob keeps the end-to-end stretch within (1+eps).
+    Reads ``dist``, the n x n distance matrix of a graph on n >= 2 vertices
+    (+inf where unreachable), and at h = beta // 12 >= 2 ``most_hops``, the
+    most hops on each pair's shortest paths (None at h = 1, where it is
+    unused); ``half`` is the internal stretch knob eps/2.  Returns (k, 3) int
+    rows (u, v, dist(u, v)), the induced closures, then the ladders, and one
+    tag name per row.  A pair may appear twice, with one weight;
+    ``HopsetEdges`` keeps its first row.
     """
-    frac = as_eps(eps)
-    if beta < MIN_HOPBOUND:
-        raise ValueError(f"hop budget must be >= {MIN_HOPBOUND}, got {beta}")
-    params = HopsetParams(beta, frac, c, seed)
-    n = g.n
-    if n <= 1:
-        return HopsetEdges(n, (), (), params)
-
-    half = frac / 2
-    dist, most_hops = _dist_and_most_hops(g, beta)
+    n = len(dist)
     paths, weights = _extract_nice_paths(dist, most_hops, beta)
     q = NicePathCollection(paths, weights, beta)
 
@@ -329,7 +334,30 @@ def hopset_small_hop(
     s_mask = sample_mask(seed, SITE_GROUP_SAMPLE, len(subpaths), p_samp)
     ladders = geometric_ladder(dist, np.flatnonzero(v_mask), [*compress(subpaths, s_mask)], half)
     tags = np.repeat(["induced_closure", "geometric_ladder"], [len(closure), len(ladders)])
-    return HopsetEdges(n, np.concatenate([closure, ladders]), tags, params)
+    return np.concatenate([closure, ladders]), tags
+
+
+def hopset_small_hop(
+    g: WeightedDigraph,
+    beta: int,
+    eps: Fraction | str,
+    c: float = 3.0,
+    *,
+    seed: int,
+) -> HopsetEdges:
+    """Nice-path construction for hop budgets up to n^(1/4).
+
+    Runs with eps' = eps/2 internally: the per-path induced closures are
+    exact, the ladders lose (1+eps') twice along a detour, and the halved
+    knob keeps the end-to-end stretch within (1+eps).
+    """
+    frac = as_eps(eps)
+    check_hop_budget(beta)
+    params = HopsetParams(beta, frac, c, seed)
+    if g.n <= 1:
+        return HopsetEdges(g.n, (), (), params)
+    rows, tags = _small_hop_rows(*_dist_and_most_hops(g, beta), beta, frac / 2, c, seed)
+    return HopsetEdges(g.n, rows, tags, params)
 
 
 def hopset_large_hop(
@@ -346,15 +374,22 @@ def hopset_large_hop(
     whose true distance is already achieved within hop radius r (least r
     with r^3*n >= beta^4): one hop-counting Dijkstra, ``apsp_hops``, gives
     each pair's distance and the fewest hops on its shortest paths.  It
-    recurses with the small-hop construction on the kept pairs; returned
+    runs the small-hop construction on the kept pairs with hop budget
+    beta_sub = max(12, floor(size^(1/4) / ln n)), which is 12 for every
+    n <= MAX_VERTICES, so the inner nice paths have one hop.  Returned
     edges are re-expressed with exact distances of the original graph and
     keep the tag the inner construction gave them.
+
+    When the sample is all of V, the kept pairs have exactly G's distances,
+    so the inner construction reads ``apsp_hops``'s matrix and no kept-pair
+    graph is built.  Every kept edge weighs a true distance, so inner
+    distances are >= G's; every edge of a shortest path of G is a 1-hop pair
+    with w = d, so it is kept, and inner distances are <= G's.  The same two
+    facts give equal most-hop counts, the inner h >= 2 input.  A partial
+    sample keeps the kept-pair graph, whose distances can exceed G's.
     """
     frac = as_eps(eps)
-    if beta < MIN_HOPBOUND or beta < floor_root(g.n, 4):
-        raise ValueError(
-            f"hop budget {beta} below max({MIN_HOPBOUND}, floor(n^(1/4)))"
-        )
+    check_large_hop_budget(g.n, beta)
     params = HopsetParams(beta, frac, c, seed)
     n = g.n
     if n <= 1:
@@ -366,19 +401,24 @@ def hopset_large_hop(
     if len(sampled) <= 1:
         return HopsetEdges(n, (), (), params)
 
-    r = max(1, ceil_root(-(-(beta**4) // n), 3))
     full, fewest_hops = apsp_hops(g)
-    ix = np.ix_(sampled, sampled)
-    keep = np.isfinite(full[ix]) & (fewest_hops[ix] <= r)
-    np.fill_diagonal(keep, False)
-    sub_w = full[ix][keep].astype(np.int64)
-    sub = WeightedDigraph(len(sampled), np.column_stack([np.argwhere(keep), sub_w]))
-
     beta_sub = max(MIN_HOPBOUND, int(len(sampled) ** 0.25 / math.log(n)))
-    inner = hopset_small_hop(sub, beta_sub, frac, c, seed=child_seed(seed))
-    a, b = sampled[inner.array[:, :2].T]
+    if size == n:  # sampled is arange(n)
+        dist = full
+        most_hops = None if beta_sub < 2 * MIN_HOPBOUND else apsp_hops(g, most=True)[1]
+    else:
+        r = max(1, ceil_root(-(-(beta**4) // n), 3))
+        ix = np.ix_(sampled, sampled)
+        keep = np.isfinite(full[ix]) & (fewest_hops[ix] <= r)
+        np.fill_diagonal(keep, False)
+        sub_w = full[ix][keep].astype(np.int64)
+        sub = WeightedDigraph(len(sampled), np.column_stack([np.argwhere(keep), sub_w]))
+        dist, most_hops = _dist_and_most_hops(sub, beta_sub)
+    rows, tags = _small_hop_rows(dist, most_hops, beta_sub, frac / 2, c, child_seed(seed))
+    # sampled is sorted, so mapped rows keep their pair order and first-row winners
+    a, b = sampled[rows[:, :2].T]
     rows = np.column_stack([a, b, full[a, b].astype(np.int64)])
-    return HopsetEdges(n, rows, inner.tags, params)
+    return HopsetEdges(n, rows, tags, params)
 
 
 def build_hopset(
@@ -390,8 +430,7 @@ def build_hopset(
     seed: int,
 ) -> HopsetEdges:
     """Dispatch on beta vs n^(1/4) between the two constructions."""
-    if beta < MIN_HOPBOUND:
-        raise ValueError(f"hop budget must be >= {MIN_HOPBOUND}, got {beta}")
+    check_hop_budget(beta)
     if beta <= ceil_root(g.n, 4):
         return hopset_small_hop(g, beta, eps, c, seed=seed)
     return hopset_large_hop(g, beta, eps, c, seed=seed)

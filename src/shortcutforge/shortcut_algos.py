@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -50,10 +50,15 @@ class ShortcutSet(TaggedEdges):
     TAGS = TAGS
 
 
-def folklore(g: Digraph, d: int, c: float = 3.0, *, seed: int) -> ShortcutSet:
-    """Baseline: all closure pairs between vertices sampled at c*ln(n)/d."""
+def check_folklore(d: int) -> None:
+    """Raise ValueError for a folklore diameter target below 1."""
     if d < 1:
         raise ValueError(f"diameter target must be >= 1, got {d}")
+
+
+def folklore(g: Digraph, d: int, c: float = 3.0, *, seed: int) -> ShortcutSet:
+    """Baseline: all closure pairs between vertices sampled at c*ln(n)/d."""
+    check_folklore(d)
     params = ShortcutParams(d, c, seed)
     if g.n <= 1:
         return ShortcutSet(g.n, (), (), params)
@@ -94,6 +99,18 @@ def small_diam_limit(n: int) -> int:
     return max(3, ceil_root(n, 3))
 
 
+def check_small_diam(n: int, d: int) -> None:
+    """Raise ValueError for a small-diameter target outside [3, small_diam_limit(n)]."""
+    if not 3 <= d <= small_diam_limit(n):
+        raise ValueError(f"diameter target {d} outside [3, {small_diam_limit(n)}]")
+
+
+def check_large_d(n: int, d: int) -> None:
+    """Raise ValueError for a large-diameter target below max(1, floor(n^(1/3)))."""
+    if d < 1 or d < floor_root(n, 3):
+        raise ValueError(f"diameter target {d} below floor(n^(1/3)) = {floor_root(n, 3)}")
+
+
 def shortcut_small_diam(
     g: Digraph, d: int, c: float = 3.0, *, seed: int
 ) -> ShortcutSet:
@@ -107,8 +124,7 @@ def shortcut_small_diam(
     n = g.n
     if n == 0:
         return ShortcutSet(0, (), (), params)
-    if not 3 <= d <= small_diam_limit(n):
-        raise ValueError(f"diameter target {d} outside [3, {small_diam_limit(n)}]")
+    check_small_diam(n, d)
     closure = transitive_closure(g)
     ell = min(n, -(-16 * n // d))
     decomp = decompose(g, ell, closure)
@@ -140,8 +156,7 @@ def shortcut_large_d(
     """
     params = ShortcutParams(d, c, seed)
     n = g.n
-    if d < 1 or d < floor_root(n, 3):
-        raise ValueError(f"diameter target {d} below floor(n^(1/3)) = {floor_root(n, 3)}")
+    check_large_d(n, d)
     if n <= 1:
         return ShortcutSet(n, (), (), params)
     check_acyclic(g)
@@ -160,6 +175,28 @@ def shortcut_large_d(
     return ShortcutSet(n, sampled[inner.array], inner.tags, params)
 
 
+def shortcut_regime(
+    n: int, d: int, mode: str = "auto"
+) -> Callable[..., ShortcutSet] | None:
+    """The construction ``build_shortcuts`` runs on an n-vertex condensation.
+
+    ``shortcut_small_diam`` or ``shortcut_large_d``, or None when n <= 1 and
+    none runs.  Raises the ValueError of an unknown mode, of d < 3 or of the
+    chosen construction's own range check.
+    """
+    if mode not in ("auto", "small", "large"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if d < 3:
+        raise ValueError(f"diameter target must be >= 3, got {d}")
+    if n <= 1:
+        return None
+    if mode == "small" or (mode == "auto" and d <= small_diam_limit(n)):
+        check_small_diam(n, d)
+        return shortcut_small_diam
+    check_large_d(n, d)
+    return shortcut_large_d
+
+
 def build_shortcuts(
     g: Digraph, d: int, c: float = 3.0, *, seed: int, mode: str = "auto"
 ) -> ShortcutSet:
@@ -172,21 +209,14 @@ def build_shortcuts(
     lifts to at most 3 in g (star, edge, star) and each end adds one star
     hop, so g's union has hop diameter at most 3h + 2.
     """
-    if mode not in ("auto", "small", "large"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if d < 3:
-        raise ValueError(f"diameter target must be >= 3, got {d}")
     params = ShortcutParams(d, c, seed)
     cond = condense(g)
     dag = cond.dag
+    construct = shortcut_regime(dag.n, d, mode)
 
     rows, tags = [], []
-    if dag.n > 1:
-        use_small = mode == "small" or (mode == "auto" and d <= small_diam_limit(dag.n))
-        if use_small:
-            inner = shortcut_small_diam(dag, d, c, seed=seed)
-        else:
-            inner = shortcut_large_d(dag, d, c, seed=seed)
+    if construct is not None:
+        inner = construct(dag, d, c, seed=seed)
         lifted = cond.rep[inner.array]
         fresh = ~g.has_pairs(lifted)
         rows.append(lifted[fresh])

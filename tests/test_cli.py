@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from shortcutforge import cli
 from shortcutforge.cli import main
 
 
@@ -317,8 +318,13 @@ class TestBench:
              "algorithm=small_diam family=random_dag n=64 p=0.15 D=4 seeds=5:5\n", 2),
             ("algorithm=small_diam family=random_dag n=64 p=0.15 D=4 c=0\n", 1),
             ("# fine\nalgorithm=small_diam family=random_dag n=64 p=0.15 D=4 c=3,nan\n", 2),
-            # Fails while it runs, after its first cell ran.
+            # Fails before any cell runs: D=5 is outside [3, 4] at n=64.
             ("# fine\nalgorithm=small_diam family=random_dag n=64 p=0.15 D=4,5\n", 2),
+            ("algorithm=large_d family=random_dag n=216 p=0.05 D=5\n", 1),
+            ("algorithm=folklore family=random_dag n=64 p=0.15 D=0\n", 1),
+            ("algorithm=hopset_small family=weighted_random n=8 beta=11 eps=1/4\n", 1),
+            ("algorithm=hopset_small family=weighted_random n=8 beta=12 eps=3/2\n", 1),
+            ("# fine\nalgorithm=hopset_large family=weighted_random n=600 p=0.01 beta=7 eps=1/4\n", 2),
             ("algorithm=folklore family=random_dag n=1000000 p=0.000001 D=8\n", 1),
         ],
     )
@@ -328,6 +334,29 @@ class TestBench:
         assert run("bench", "--config", str(cfg)) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: config line {lineno}: ")
+
+    def test_bad_last_line_runs_no_cell(self, tmp_path, capsys, monkeypatch):
+        ran = []
+        real = cli._run_bench_cell
+        monkeypatch.setattr(cli, "_run_bench_cell", lambda *cell: ran.append(cell) or real(*cell))
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(
+            "algorithm=small_diam family=random_dag n=216 p=0.05 D=6 seeds=0:5\n"
+            "algorithm=small_diam family=random_dag n=216 p=0.05 D=9\n"
+        )
+        assert run("bench", "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert err == "error: config line 2: diameter target 9 outside [3, 6]\n"
+        assert ran == []
+
+    def test_cyclic_family_range_waits_for_the_condensation(self, tmp_path):
+        # n=216 would need D >= 6 for large_d, but this random_digraph
+        # condenses to 5 vertices, where D=3 is in range
+        cfg = tmp_path / "bench.cfg"
+        out = tmp_path / "rows.csv"
+        cfg.write_text("algorithm=large_d family=random_digraph n=216 p=0.02 D=3 seeds=0\n")
+        assert run("bench", "--config", str(cfg), "--out", str(out)) == 0
+        assert len(self.rows_of(out)) == 1
 
     def test_median_small_beats_folklore(self, tmp_path):
         cfg = tmp_path / "bench.cfg"

@@ -404,6 +404,42 @@ class TestSmallHop:
 
 
 class TestLargeHop:
+    @staticmethod
+    def spy(monkeypatch) -> dict[str, list]:
+        """The vertex count of each kernel and container call, by callee."""
+        calls: dict[str, list] = {
+            name: [] for name in ("apsp_hops", "apsp", "WeightedDigraph", "HopsetEdges")
+        }
+
+        def wrap(name):
+            real = getattr(hopset_algos, name)
+
+            def spied(*args, **kwargs):
+                calls[name].append(args[0] if isinstance(args[0], int) else args[0].n)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(hopset_algos, name, spied)
+
+        for name in calls:
+            wrap(name)
+        return calls
+
+    def test_full_sample_reuses_g_distances(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        g = random_weighted(80, 0.08, 9, 3)  # c = 3 samples all 80 vertices
+        assert len(hopset_large_hop(g, 12, EPS14, seed=1))
+        assert calls == {
+            "apsp_hops": [80], "apsp": [], "WeightedDigraph": [], "HopsetEdges": [80]
+        }
+
+    def test_partial_sample_builds_kept_pair_graph(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        g = random_weighted(120, 0.05, 9, 3)
+        assert len(hopset_large_hop(g, 40, EPS14, 1.0, seed=1))  # samples 21 of 120
+        assert calls == {
+            "apsp_hops": [120], "apsp": [21], "WeightedDigraph": [21], "HopsetEdges": [120]
+        }
+
     def test_rejects_low_beta(self):
         with pytest.raises(ValueError):
             hopset_large_hop(unit_path(10), 11, EPS14, seed=0)
@@ -609,6 +645,10 @@ def _reference_large_hop(
 @example(n=40, p=0.1, w_max=1, beta=12, eps=EPS14, c=8.0, seed=1)  # all weights 1: ties
 # a kept pair at exactly r = 8 hops whose path runs through unsampled vertices
 @example(n=45, p=0.03, w_max=1, beta=12, eps=EPS14, c=1.0, seed=4)
+# full sample (all 60 vertices), large weights: the inner build reads G's distances
+@example(n=60, p=0.05, w_max=10**6, beta=16, eps=Fraction(3, 7), c=3.0, seed=7)
+# partial sample (14 of 60), both tags: the inner build runs on the kept-pair graph
+@example(n=60, p=0.1, w_max=9, beta=24, eps=EPS14, c=1.0, seed=11)
 def test_large_hop_matches_hop_dp_reference(n, p, w_max, beta, eps, c, seed):
     g = random_weighted(n, p, w_max, seed)
     got = hopset_large_hop(g, beta, eps, c, seed=seed)
