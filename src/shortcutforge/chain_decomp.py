@@ -42,16 +42,22 @@ class ChainDecomposition:
 
 
 def _generations(dag: Digraph) -> np.ndarray:
-    """Edges on the longest path ending at each vertex of an acyclic dag."""
+    """Edges on the longest path ending at each vertex of an acyclic dag.
+
+    Kahn's rounds; each round gathers the frontier's out-edges, the ranges
+    dst[ptr[v]:ptr[v + 1]] of the (u, v)-sorted rows, with one index array.
+    """
     src, dst = dag.array.T
-    succ = np.split(dst, np.searchsorted(src, np.arange(1, dag.n)))
+    ptr = np.searchsorted(src, np.arange(dag.n + 1))
     indeg = np.bincount(dst, minlength=dag.n)
     gen = np.zeros(dag.n, dtype=np.int64)
     frontier, depth = np.flatnonzero(indeg == 0), 0
     while frontier.size:
         gen[frontier] = depth
         indeg[frontier] = -1
-        indeg -= np.bincount(np.concatenate([succ[v] for v in frontier]), minlength=dag.n)
+        starts, counts = ptr[frontier], ptr[frontier + 1] - ptr[frontier]
+        out = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        indeg -= np.bincount(dst[out], minlength=dag.n)
         frontier, depth = np.flatnonzero(indeg == 0), depth + 1
     return gen
 

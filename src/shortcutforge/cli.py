@@ -23,9 +23,9 @@ from . import __version__
 from .chain_decomp import decompose
 from .generators import FAMILIES, GenSpec, generate, subdivide
 from .graph_core import (
-    MAX_VERTICES,
     Digraph,
     WeightedDigraph,
+    check_vertex_count,
     dump_edge_list,
     load_edge_list,
     load_edge_rows,
@@ -246,9 +246,9 @@ def _line_cells(lineno: int, body: str) -> list[tuple]:
     eps = Fraction(fields["eps"]) if hopset else None
     cs = [positive_float(v) for v in fields.get("c", "3").split(",")]
     seeds = _parse_seed_values(fields.get("seeds", "0"))
-    if 0 <= n <= MAX_VERTICES:  # otherwise generate rejects n when the cell runs
-        for knob in knobs:
-            _check_knobs(algorithm, family, n, knob, eps)
+    check_vertex_count(n)
+    for knob in knobs:
+        _check_knobs(algorithm, family, n, knob, eps)
     return [
         (lineno, algorithm, GenSpec(family, n, p, density, W, seed), knob, eps, c)
         for knob, c, seed in product(knobs, cs, seeds)

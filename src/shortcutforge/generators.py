@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import Digraph, WeightedDigraph, _check_vertex_count
+from .graph_core import Digraph, WeightedDigraph, check_vertex_count
 
 FAMILIES = (
     "random_dag",
@@ -70,7 +70,7 @@ def generate(spec: GenSpec) -> Digraph | WeightedDigraph:
         raise ValueError(f"unknown family {spec.family!r}")
     if spec.n < 1:
         raise ValueError(f"n must be >= 1, got {spec.n}")
-    _check_vertex_count(spec.n)  # before any O(n^2) draw
+    check_vertex_count(spec.n)  # before any O(n^2) draw
     if spec.family in _NEEDS_PROB:
         pass  # probability validated below, per family pair count
     elif spec.p is not None or spec.density is not None:
@@ -130,7 +130,7 @@ def subdivide(g: Digraph, k: int) -> tuple[Digraph, dict[int, tuple[int, int]]]:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     stride = k + 1
-    _check_vertex_count(g.n * stride)
+    check_vertex_count(g.n * stride)
     placement = {v: (v * stride, v * stride + k) for v in range(g.n)}
     inner = (np.arange(g.n)[:, None] * stride + np.arange(k)).ravel()
     cross = g.array * stride + [k, 0]

@@ -31,7 +31,8 @@ from scipy.sparse import csgraph
 MAX_VERTICES = 4096
 
 
-def _check_vertex_count(n: int) -> None:
+def check_vertex_count(n: int) -> None:
+    """Raise ValueError unless n is an int in [0, MAX_VERTICES]."""
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"vertex count must be a non-negative int, got {n!r}")
     if n > MAX_VERTICES:
@@ -57,12 +58,11 @@ def _int_rows(edges: Iterable[Sequence[int]] | np.ndarray, width: int) -> np.nda
     return arr
 
 
-def _kept_rows(n: int, rows: np.ndarray, first_wins: bool = False) -> np.ndarray:
-    """Indices of the rows to keep, one per (u, v) pair, in (u, v) order.
+def _check_rows(n: int, rows: np.ndarray) -> None:
+    """Reject self-loops, ids outside [0, n) and weights below 1, naming the first bad row.
 
-    Rows are (u, v) or (u, v, w).  Rejects self-loops, ids outside [0, n)
-    and weights below 1.  Identical rows collapse.  Two weights for one pair
-    are an error unless ``first_wins``, in which case the earliest row wins.
+    Rows are (u, v) or (u, v, w).  Callers run it before keying rows by
+    u * n + v, since an id out of range can share a key with a valid pair.
     """
     u, v = rows[:, 0], rows[:, 1]
     bad = (u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n)
@@ -76,15 +76,37 @@ def _kept_rows(n: int, rows: np.ndarray, first_wins: bool = False) -> np.ndarray
         if light.any():
             a, b, w = rows[np.argmax(light)].tolist()
             raise ValueError(f"edge ({a}, {b}) has weight {w} < 1")
-    key = u * n + v
-    if rows.shape[1] == 2 or first_wins:
-        return np.unique(key, return_index=True)[1]
-    _, first, which = np.unique(key, return_index=True, return_inverse=True)
-    clash = np.flatnonzero(rows[:, 2] != rows[first[which], 2])
-    if clash.size:
-        a, b = rows[clash[np.argmin(key[clash])], :2].tolist()
-        raise ValueError(f"duplicate weights for edge pair ({a}, {b})")
-    return first
+
+
+def _key_runs(n: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows' stable order by pair key u * n + v, and a mask of each key's first row in it.
+
+    The stable argsort is a timsort, which merges presorted runs: rows that
+    are one or two (u, v)-sorted arrays cost a merge, not a sort.  ``order[head]``
+    is ``np.unique(key, return_index=True)[1]``.
+    """
+    key = rows[:, 0] * n + rows[:, 1]
+    order = np.argsort(key, kind="stable")
+    return order, np.diff(key[order], prepend=-1) != 0
+
+
+def _kept_rows(n: int, rows: np.ndarray, first_wins: bool = False) -> np.ndarray:
+    """Indices of the rows to keep, one per (u, v) pair, in (u, v) order.
+
+    Rows are (u, v) or (u, v, w), checked by ``_check_rows`` first.  Identical
+    rows collapse.  Two weights for one pair are an error naming the pair,
+    the one with the smallest key if several clash, unless ``first_wins``: then
+    the earliest row wins.  One stable key sort, a merge on sorted rows.
+    """
+    _check_rows(n, rows)
+    order, head = _key_runs(n, rows)
+    if rows.shape[1] == 3 and not first_wins:
+        w = rows[order, 2]
+        clash = np.flatnonzero((w[1:] != w[:-1]) & ~head[1:])
+        if clash.size:
+            a, b = rows[order[clash[0]], :2].tolist()
+            raise ValueError(f"duplicate weights for edge pair ({a}, {b})")
+    return order[head]
 
 
 class _EdgeArray:
@@ -100,7 +122,7 @@ class _EdgeArray:
     WIDTH: ClassVar[int] = 2
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] | np.ndarray = ()) -> None:
-        _check_vertex_count(n)
+        check_vertex_count(n)
         rows = _int_rows(edges, self.WIDTH)
         self._store(n, rows[_kept_rows(n, rows)])
 
@@ -162,10 +184,19 @@ class WeightedDigraph(_EdgeArray):
     def union_min(
         self, extra: Iterable[tuple[int, int, int]] | np.ndarray
     ) -> "WeightedDigraph":
-        """Union keeping the smaller weight when a pair appears on both sides."""
-        rows = np.concatenate([self.array, _int_rows(extra, 3)])
-        rows = rows[np.argsort(rows[:, 2], kind="stable")]
-        return WeightedDigraph(self.n, rows[_kept_rows(self.n, rows, first_wins=True)])
+        """Union keeping each pair's least weight, from either side or repeated rows.
+
+        ``extra`` is checked as constructor rows are, before any keying.  One
+        stable sort of the pair keys, a merge when ``extra`` is sorted by
+        (u, v) as a container's array is, then each key run's least weight.
+        """
+        extra = _int_rows(extra, 3)
+        _check_rows(self.n, extra)
+        rows = np.concatenate([self.array, extra])
+        order, head = _key_runs(self.n, rows)
+        union = rows[order[head]]
+        union[:, 2] = np.minimum.reduceat(rows[order, 2], np.flatnonzero(head))
+        return WeightedDigraph(self.n, union)
 
 
 class TaggedEdges(_EdgeArray):
@@ -190,7 +221,7 @@ class TaggedEdges(_EdgeArray):
         tags: str | Sequence[str] | np.ndarray,
         params: object,
     ) -> None:
-        _check_vertex_count(n)
+        check_vertex_count(n)
         rows = _int_rows(rows, self.WIDTH)
         names = np.asarray(tags)
         if names.ndim and len(names) != len(rows):
@@ -622,7 +653,7 @@ def load_edge_list(text: str) -> LoadReport:
     want = int(fields[0])
     n, m, w_cap = values[0].tolist()
     declared_n = n
-    _check_vertex_count(n)
+    check_vertex_count(n)
     if m < 0 or (want == 3 and w_cap < 1):
         raise ValueError(f"line {lines[0]}: bad header values")
 

@@ -335,19 +335,27 @@ class TestBench:
         err = capsys.readouterr().err
         assert err.startswith(f"error: config line {lineno}: ")
 
-    def test_bad_last_line_runs_no_cell(self, tmp_path, capsys, monkeypatch):
+    @staticmethod
+    def bench_after_five_cells(tmp_path, monkeypatch, line: str) -> tuple[int, list]:
+        """Exit code and the cells run, for five good cells followed by ``line``."""
         ran = []
         real = cli._run_bench_cell
         monkeypatch.setattr(cli, "_run_bench_cell", lambda *cell: ran.append(cell) or real(*cell))
         cfg = tmp_path / "bench.cfg"
-        cfg.write_text(
-            "algorithm=small_diam family=random_dag n=216 p=0.05 D=6 seeds=0:5\n"
-            "algorithm=small_diam family=random_dag n=216 p=0.05 D=9\n"
-        )
-        assert run("bench", "--config", str(cfg)) == 2
+        cfg.write_text("algorithm=small_diam family=random_dag n=216 p=0.05 D=6 seeds=0:5\n" + line)
+        return run("bench", "--config", str(cfg)), ran
+
+    def test_bad_last_line_runs_no_cell(self, tmp_path, capsys, monkeypatch):
+        line = "algorithm=small_diam family=random_dag n=216 p=0.05 D=9\n"
+        assert self.bench_after_five_cells(tmp_path, monkeypatch, line) == (2, [])
         err = capsys.readouterr().err
         assert err == "error: config line 2: diameter target 9 outside [3, 6]\n"
-        assert ran == []
+
+    def test_vertex_count_past_the_ceiling_runs_no_cell(self, tmp_path, capsys, monkeypatch):
+        line = "algorithm=small_diam family=random_dag n=5000 p=0.001 D=9\n"
+        assert self.bench_after_five_cells(tmp_path, monkeypatch, line) == (2, [])
+        err = capsys.readouterr().err
+        assert err == "error: config line 2: vertex count 5000 exceeds the supported ceiling of 4096\n"
 
     def test_cyclic_family_range_waits_for_the_condensation(self, tmp_path):
         # n=216 would need D >= 6 for large_d, but this random_digraph

@@ -24,6 +24,7 @@ from shortcutforge.graph_core import (
     apsp_hops,
     bounded_reachability,
     check_acyclic,
+    check_vertex_count,
     closure_digraph,
     condense,
     dump_edge_list,
@@ -38,7 +39,6 @@ from shortcutforge.graph_core import (
 from shortcutforge.graph_core import (  # the old reader's and writer's helpers, for the references
     LoadReport,
     TaggedEdges,
-    _check_vertex_count,
     _int64,
     _int_rows,
     _kept_rows,
@@ -250,7 +250,7 @@ def load_edge_list_by_lines(text: str) -> LoadReport:
     declared_n = n = nums[0]
     m = nums[1]
     w_cap = nums[2] if weighted else None
-    _check_vertex_count(n)
+    check_vertex_count(n)
     if m < 0 or (weighted and w_cap < 1):
         raise ValueError(f"line {lineno}: bad header values")
 
@@ -366,6 +366,21 @@ def random_weighted(n: int, p: float, w_max: int, rng: np.random.Generator) -> W
     )
 
 
+def small_weighted_rows(n: int, max_size: int) -> st.SearchStrategy:
+    """Lists of rows (u, v, w), u != v in [0, n) and w in [1, 4]: pairs and weights repeat."""
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    row = st.tuples(pair, st.integers(1, 4)).map(lambda r: (*r[0], r[1]))
+    return st.lists(row, max_size=max_size)
+
+
+@st.composite
+def union_cases(draw) -> tuple[int, dict[tuple[int, int], int], list[tuple[int, int, int]]]:
+    """n, G's weight per pair and unsorted extra rows."""
+    n = draw(st.integers(2, 6))
+    base = {(u, v): w for u, v, w in draw(small_weighted_rows(n, 12))}
+    return n, base, draw(small_weighted_rows(n, 16))
+
+
 class TestContainers:
     @pytest.mark.parametrize(
         "make, match",
@@ -388,6 +403,55 @@ class TestContainers:
         assert g.m == 2 and g.edges == {(0, 1), (1, 2)}
         w = WeightedDigraph(3, [(0, 1, 4), (1, 2, 1), (0, 1, 4)])
         assert w.m == 2 and w.edges == {(0, 1, 4), (1, 2, 1)}
+
+    @given(st.integers(2, 6).flatmap(lambda n: st.tuples(st.just(n), small_weighted_rows(n, 20))))
+    @example((3, [(2, 0, 1), (0, 1, 2), (2, 0, 3), (0, 1, 1), (0, 1, 2)]))
+    def test_kept_rows_are_uniques_first_rows(self, case):
+        n, rows = case
+        rows = np.array(rows, np.int64).reshape(-1, 3)
+        first = np.unique(rows[:, 0] * n + rows[:, 1], return_index=True)[1]
+        assert np.array_equal(_kept_rows(n, rows[:, :2]), first)
+        assert np.array_equal(_kept_rows(n, rows, first_wins=True), first)
+        weights: dict[tuple[int, int], set[int]] = {}
+        for u, v, w in rows.tolist():
+            weights.setdefault((u, v), set()).add(w)
+        clashing = sorted(p for p, ws in weights.items() if len(ws) > 1)
+        if clashing:  # the pair with the smallest key is named
+            message = f"duplicate weights for edge pair {clashing[0]}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                _kept_rows(n, rows)
+        else:
+            assert np.array_equal(_kept_rows(n, rows), first)
+
+    @given(union_cases())
+    @example((3, {}, [(1, 0, 2), (0, 1, 3), (1, 0, 1)]))  # empty G; a pair twice in extra
+    @example((3, {(1, 2): 5, (0, 1): 2}, []))  # empty extra
+    @example((3, {(0, 1): 2, (2, 0): 1}, [(2, 0, 3), (0, 1, 2), (0, 1, 2), (0, 1, 1)]))
+    def test_union_min_keeps_each_pairs_least_weight(self, case):
+        n, base, extra = case
+        g = WeightedDigraph(n, [(u, v, w) for (u, v), w in base.items()])
+        least = dict(base)
+        for u, v, w in extra:
+            least[u, v] = min(w, least.get((u, v), w))
+        want = sorted([u, v, w] for (u, v), w in least.items())
+        for rows in (extra, np.array(extra, np.int64).reshape(-1, 3), sorted(extra)):
+            union = g.union_min(rows)
+            assert type(union) is WeightedDigraph and union.n == n
+            assert union.array.tolist() == want
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ([(0, 1, 1), (2, 2, 3)], "self-loop (2, 2) not allowed"),
+            ([(-1, 2, 1)], "edge (-1, 2) out of range for n=3"),
+            ([(1, 3, 1)], "edge (1, 3) out of range for n=3"),  # key 1*3 + 3 is (2, 0)'s
+            ([(0, 2, 4), (1, 2, 0)], "edge (1, 2) has weight 0 < 1"),
+        ],
+    )
+    def test_union_min_rejects_bad_extra_rows(self, extra, message):
+        g = WeightedDigraph(3, [(0, 1, 2), (2, 0, 5)])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            g.union_min(extra)
 
     @pytest.mark.parametrize(
         "cls, rows",

@@ -124,6 +124,24 @@ class TestVerifyHopset:
         assert status_of(report, "upper_side_within_stretch") == "fail"
         assert not report.ok
 
+    def test_kernel_gets_the_union_as_a_graph(self, monkeypatch):
+        # the traced benchmark reads .m of hop_limited_dist's first argument
+        g = generate(GenSpec("weighted_random", 60, density=2.2, W=20, seed=1))
+        h = build_hopset(g, 12, EPS14, seed=1).array
+        lowered = h[h[:, 2] > 1][::7] - [0, 0, 1]  # a lighter second row for some pairs
+        unions = []
+        real = oracles.hop_limited_dist
+        monkeypatch.setattr(
+            oracles, "hop_limited_dist", lambda union, *a: unions.append(union) or real(union, *a)
+        )
+        for rows in (h, np.concatenate([h, lowered])):
+            verify_hopset(g, rows, 12, EPS14)
+            [union] = unions
+            unions.clear()
+            assert type(union) is WeightedDigraph and union.n == g.n
+            assert union.m == len({(u, v) for u, v, _ in np.concatenate([g.array, rows]).tolist()})
+        assert set(map(tuple, lowered.tolist())) <= set(map(tuple, union.array.tolist()))
+
     def test_zero_denominator_eps_rejected(self):
         g = WeightedDigraph(3, [(0, 1, 2), (1, 2, 3)])
         with pytest.raises(ValueError, match="zero denominator"):
