@@ -10,14 +10,7 @@ from __future__ import annotations
 
 def ceil_root(n: int, k: int) -> int:
     """Smallest t >= 0 with t**k >= n."""
-    if n <= 0:
-        return 0
-    t = max(1, round(n ** (1.0 / k)))
-    while t**k >= n:
-        t -= 1
-    while t**k < n:
-        t += 1
-    return t
+    return 0 if n <= 0 else floor_root(n - 1, k) + 1
 
 
 def floor_root(n: int, k: int) -> int:

@@ -21,11 +21,10 @@ from pathlib import Path
 
 from . import __version__
 from .chain_decomp import decompose
-from .generators import FAMILIES, GenSpec, generate, subdivide
+from .generators import FAMILIES, GenSpec, check_spec, generate, subdivide
 from .graph_core import (
     Digraph,
     WeightedDigraph,
-    check_vertex_count,
     dump_edge_list,
     load_edge_list,
     load_edge_rows,
@@ -229,8 +228,6 @@ def _line_cells(lineno: int, body: str) -> list[tuple]:
     algorithm, family = fields["algorithm"], fields["family"]
     if algorithm not in BENCH_ALGOS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
     hopset = algorithm.startswith("hopset")
     if hopset != (family == "weighted_random"):
         wanted = "family=weighted_random" if hopset else "an unweighted family"
@@ -246,7 +243,7 @@ def _line_cells(lineno: int, body: str) -> list[tuple]:
     eps = Fraction(fields["eps"]) if hopset else None
     cs = [positive_float(v) for v in fields.get("c", "3").split(",")]
     seeds = _parse_seed_values(fields.get("seeds", "0"))
-    check_vertex_count(n)
+    check_spec(GenSpec(family, n, p, density, W))
     for knob in knobs:
         _check_knobs(algorithm, family, n, knob, eps)
     return [

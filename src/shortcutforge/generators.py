@@ -36,15 +36,32 @@ class GenSpec:
     seed: int = 0
 
 
-def _edge_prob(spec: GenSpec, pair_count_per_vertex: float) -> float:
-    if (spec.p is None) == (spec.density is None):
-        raise ValueError("exactly one of p and density must be set for this family")
-    if spec.p is not None:
-        if not 0.0 <= spec.p <= 1.0:
+def check_spec(spec: GenSpec) -> None:
+    """Raise the ValueError ``generate`` raises for ``spec``, without drawing anything."""
+    if spec.family not in FAMILIES:
+        raise ValueError(f"unknown family {spec.family!r}")
+    if spec.n < 1:
+        raise ValueError(f"n must be >= 1, got {spec.n}")
+    check_vertex_count(spec.n)
+    if spec.family not in _NEEDS_PROB and (spec.p is not None or spec.density is not None):
+        raise ValueError(f"family {spec.family!r} takes no edge probability")
+    if spec.family == "weighted_random":
+        if spec.W is None or spec.W < 1:
+            raise ValueError("weighted_random needs W >= 1")
+    elif spec.W is not None:
+        raise ValueError(f"family {spec.family!r} takes no weight bound")
+    if spec.family in _NEEDS_PROB:
+        if (spec.p is None) == (spec.density is None):
+            raise ValueError("exactly one of p and density must be set for this family")
+        if spec.p is not None and not 0.0 <= spec.p <= 1.0:
             raise ValueError(f"edge probability {spec.p} outside [0, 1]")
+        if spec.density is not None and not spec.density >= 0:  # NaN too
+            raise ValueError(f"density {spec.density} must be >= 0")
+
+
+def _edge_prob(spec: GenSpec, pair_count_per_vertex: float) -> float:
+    if spec.p is not None:
         return spec.p
-    if spec.density < 0:
-        raise ValueError(f"density {spec.density} must be >= 0")
     if pair_count_per_vertex <= 0:
         return 0.0
     return min(1.0, spec.density / pair_count_per_vertex)
@@ -66,21 +83,7 @@ def _coin_pairs(rng: np.random.Generator, n: int, p: float, forward: bool) -> np
 
 
 def generate(spec: GenSpec) -> Digraph | WeightedDigraph:
-    if spec.family not in FAMILIES:
-        raise ValueError(f"unknown family {spec.family!r}")
-    if spec.n < 1:
-        raise ValueError(f"n must be >= 1, got {spec.n}")
-    check_vertex_count(spec.n)  # before any O(n^2) draw
-    if spec.family in _NEEDS_PROB:
-        pass  # probability validated below, per family pair count
-    elif spec.p is not None or spec.density is not None:
-        raise ValueError(f"family {spec.family!r} takes no edge probability")
-    if spec.family == "weighted_random":
-        if spec.W is None or spec.W < 1:
-            raise ValueError("weighted_random needs W >= 1")
-    elif spec.W is not None:
-        raise ValueError(f"family {spec.family!r} takes no weight bound")
-
+    check_spec(spec)  # before any O(n^2) draw
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.seed)))
     n = spec.n
 

@@ -58,11 +58,17 @@ def _int_rows(edges: Iterable[Sequence[int]] | np.ndarray, width: int) -> np.nda
     return arr
 
 
-def _check_rows(n: int, rows: np.ndarray) -> None:
-    """Reject self-loops, ids outside [0, n) and weights below 1, naming the first bad row.
+def _kept_rows(n: int, rows: np.ndarray, first_wins: bool = False) -> np.ndarray:
+    """Indices of the rows to keep, one per (u, v) pair, in (u, v) order.
 
-    Rows are (u, v) or (u, v, w).  Callers run it before keying rows by
-    u * n + v, since an id out of range can share a key with a valid pair.
+    Rows are (u, v) or (u, v, w).  Self-loops, ids outside [0, n) and
+    weights below 1 are errors naming the first bad row, checked before the
+    rows are keyed by u * n + v, since an id out of range can share a key
+    with a valid pair.  Identical rows collapse.  Two weights for one pair
+    are an error naming the pair, the one with the smallest key if several
+    clash, unless ``first_wins``: then the earliest row wins.  The stable
+    key sort is a timsort, which merges presorted runs, so sorted rows cost
+    a merge; the kept indices are ``np.unique(key, return_index=True)[1]``.
     """
     u, v = rows[:, 0], rows[:, 1]
     bad = (u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n)
@@ -76,30 +82,9 @@ def _check_rows(n: int, rows: np.ndarray) -> None:
         if light.any():
             a, b, w = rows[np.argmax(light)].tolist()
             raise ValueError(f"edge ({a}, {b}) has weight {w} < 1")
-
-
-def _key_runs(n: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows' stable order by pair key u * n + v, and a mask of each key's first row in it.
-
-    The stable argsort is a timsort, which merges presorted runs: rows that
-    are one or two (u, v)-sorted arrays cost a merge, not a sort.  ``order[head]``
-    is ``np.unique(key, return_index=True)[1]``.
-    """
-    key = rows[:, 0] * n + rows[:, 1]
+    key = u * n + v
     order = np.argsort(key, kind="stable")
-    return order, np.diff(key[order], prepend=-1) != 0
-
-
-def _kept_rows(n: int, rows: np.ndarray, first_wins: bool = False) -> np.ndarray:
-    """Indices of the rows to keep, one per (u, v) pair, in (u, v) order.
-
-    Rows are (u, v) or (u, v, w), checked by ``_check_rows`` first.  Identical
-    rows collapse.  Two weights for one pair are an error naming the pair,
-    the one with the smallest key if several clash, unless ``first_wins``: then
-    the earliest row wins.  One stable key sort, a merge on sorted rows.
-    """
-    _check_rows(n, rows)
-    order, head = _key_runs(n, rows)
+    head = np.diff(key[order], prepend=-1) != 0
     if rows.shape[1] == 3 and not first_wins:
         w = rows[order, 2]
         clash = np.flatnonzero((w[1:] != w[:-1]) & ~head[1:])
@@ -180,23 +165,6 @@ class WeightedDigraph(_EdgeArray):
         u, v, w = self.array.T
         order = np.lexsort((u, v))
         return u[order], v[order], w[order].astype(np.float64)
-
-    def union_min(
-        self, extra: Iterable[tuple[int, int, int]] | np.ndarray
-    ) -> "WeightedDigraph":
-        """Union keeping each pair's least weight, from either side or repeated rows.
-
-        ``extra`` is checked as constructor rows are, before any keying.  One
-        stable sort of the pair keys, a merge when ``extra`` is sorted by
-        (u, v) as a container's array is, then each key run's least weight.
-        """
-        extra = _int_rows(extra, 3)
-        _check_rows(self.n, extra)
-        rows = np.concatenate([self.array, extra])
-        order, head = _key_runs(self.n, rows)
-        union = rows[order[head]]
-        union[:, 2] = np.minimum.reduceat(rows[order, 2], np.flatnonzero(head))
-        return WeightedDigraph(self.n, union)
 
 
 class TaggedEdges(_EdgeArray):

@@ -3,10 +3,10 @@
 Everything here is BFS, Dijkstra, min-plus matrix powers, or exhaustive
 enumeration over the instance itself.  No function is shared with the
 construction modules: this module imports only the two graph types from
-``graph_core`` and builds its own sparse and dense matrices from their edge
-rows, so a bug in a construction kernel cannot hide itself by recurring in
-its check.  Edge sets are duck typed (an edge container or a plain iterable
-of rows) for the same reason.
+``graph_core``, builds its own sparse and dense matrices from their edge
+rows and its own union G ∪ H, so a bug in a construction kernel cannot
+hide itself by recurring in its check.  Edge sets are duck typed (an edge
+container or a plain iterable of rows) for the same reason.
 
 ``verify_shortcut`` works on packed bit rows, ceil(n/64) little-endian
 uint64 words per vertex, through two kernels.  ``_reach_rows`` is G's
@@ -24,11 +24,13 @@ The hop-limited kernel is (min, +) squaring whose products recompute only
 the entries still above their floor, the union's exact all-hops distance,
 and which stops once none is left.  The constructions count hops with a
 different algorithm, a Dijkstra on scaled weights (``graph_core.apsp_hops``).
-``verify_hopset`` passes G's distances as the floor when no union row weighs
-less than them (the two are then equal); otherwise the kernel runs ``apsp``
-on the deduplicated union.  ``apsp`` is not independent: it and
-``graph_core.apsp`` both call scipy's Dijkstra on a CSR matrix.  The test
-suite cross-checks it against networkx's Dijkstra.
+``verify_hopset`` builds the union G ∪ H itself (``_union_min`` keeps each
+pair's least weight) and hands it to the kernel as a ``WeightedDigraph``.
+It passes G's distances as the floor when no union row weighs less than
+them (the two are then equal); otherwise the kernel runs ``apsp`` on the
+union.  ``apsp`` is not independent: it and ``graph_core.apsp`` both call
+scipy's Dijkstra on a CSR matrix.  The test suite cross-checks it against
+networkx's Dijkstra.
 
 Distances are float64 with +inf for unreachable pairs.  They are exact when
 every weight is an integer and every finite walk weight that a kernel adds
@@ -124,6 +126,23 @@ def _first_row(rows: np.ndarray, mask: np.ndarray) -> tuple | None:
     """The lexicographically least row where mask holds, or None."""
     bad = rows[mask]
     return tuple(bad[np.lexsort(bad.T[::-1])[0]].tolist()) if len(bad) else None
+
+
+def _union_min(g: WeightedDigraph, rows: np.ndarray) -> WeightedDigraph:
+    """G plus ``rows``, keeping each pair's least weight, from either side or repeated rows.
+
+    ``rows`` are int (u, v, w) rows with ids in [0, n), u != v and w >= 1.
+    One stable sort of the pair keys u * n + v, a merge when ``rows`` is
+    sorted by (u, v) as a container's array is, then each key run's least
+    weight.
+    """
+    rows = np.concatenate([g.array, rows])
+    key = rows[:, 0] * g.n + rows[:, 1]
+    order = np.argsort(key, kind="stable")
+    heads = np.flatnonzero(np.diff(key[order], prepend=-1))
+    union = rows[order[heads]]
+    union[:, 2] = np.minimum.reduceat(rows[order, 2], heads)
+    return WeightedDigraph(g.n, union)
 
 
 def apsp(g: WeightedDigraph) -> np.ndarray:
@@ -404,7 +423,7 @@ def verify_hopset(
     bad = _first_row(triples, ~exact)
     checks.append(Check("weight_exactness", "fail" if bad else "pass", witness=bad))
 
-    union = g.union_min(triples[pair_ok & (w >= 1)])
+    union = _union_min(g, triples[pair_ok & (w >= 1)])
     uu, uv, uw = union.array.T  # dg is the union's distances unless a row undercuts it
     dh = hop_limited_dist(union, beta, dg if (uw >= dg[uu, uv]).all() else None)
 

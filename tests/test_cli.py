@@ -322,9 +322,9 @@ class TestBench:
             ("# fine\nalgorithm=small_diam family=random_dag n=64 p=0.15 D=4,5\n", 2),
             ("algorithm=large_d family=random_dag n=216 p=0.05 D=5\n", 1),
             ("algorithm=folklore family=random_dag n=64 p=0.15 D=0\n", 1),
-            ("algorithm=hopset_small family=weighted_random n=8 beta=11 eps=1/4\n", 1),
-            ("algorithm=hopset_small family=weighted_random n=8 beta=12 eps=3/2\n", 1),
-            ("# fine\nalgorithm=hopset_large family=weighted_random n=600 p=0.01 beta=7 eps=1/4\n", 2),
+            ("algorithm=hopset_small family=weighted_random n=8 p=0.5 W=4 beta=11 eps=1/4\n", 1),
+            ("algorithm=hopset_small family=weighted_random n=8 p=0.5 W=4 beta=12 eps=3/2\n", 1),
+            ("# fine\nalgorithm=hopset_large family=weighted_random n=600 p=0.01 W=4 beta=7 eps=1/4\n", 2),
             ("algorithm=folklore family=random_dag n=1000000 p=0.000001 D=8\n", 1),
         ],
     )
@@ -356,6 +356,21 @@ class TestBench:
         assert self.bench_after_five_cells(tmp_path, monkeypatch, line) == (2, [])
         err = capsys.readouterr().err
         assert err == "error: config line 2: vertex count 5000 exceeds the supported ceiling of 4096\n"
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("family=random_dag n=0 p=0.05", "n must be >= 1, got 0"),
+            ("family=random_dag n=216 density=-1", "density -1.0 must be >= 0"),
+            ("family=random_dag n=216 p=1.5", "edge probability 1.5 outside [0, 1]"),
+            ("family=path n=216 p=0.1", "family 'path' takes no edge probability"),
+            ("family=random_dag n=216 p=0.05 W=3", "family 'random_dag' takes no weight bound"),
+        ],
+    )
+    def test_bad_spec_runs_no_cell(self, tmp_path, capsys, monkeypatch, spec, message):
+        line = f"algorithm=small_diam {spec} D=6\n"
+        assert self.bench_after_five_cells(tmp_path, monkeypatch, line) == (2, [])
+        assert capsys.readouterr().err == f"error: config line 2: {message}\n"
 
     def test_cyclic_family_range_waits_for_the_condensation(self, tmp_path):
         # n=216 would need D >= 6 for large_d, but this random_digraph

@@ -86,6 +86,8 @@ class TestGenerate:
             GenSpec("random_dag", 5),  # needs p or density
             GenSpec("random_dag", 5, p=0.5, density=1.0),
             GenSpec("random_dag", 5, p=1.5),
+            GenSpec("random_dag", 5, density=-1.0),
+            GenSpec("random_dag", 5, density=float("nan")),  # would read as p = 1
             GenSpec("path", 5, p=0.5),
             GenSpec("weighted_random", 5, p=0.5),  # missing W
             GenSpec("random_dag", 5, p=0.5, W=3),  # W on unweighted family

@@ -373,14 +373,6 @@ def small_weighted_rows(n: int, max_size: int) -> st.SearchStrategy:
     return st.lists(row, max_size=max_size)
 
 
-@st.composite
-def union_cases(draw) -> tuple[int, dict[tuple[int, int], int], list[tuple[int, int, int]]]:
-    """n, G's weight per pair and unsorted extra rows."""
-    n = draw(st.integers(2, 6))
-    base = {(u, v): w for u, v, w in draw(small_weighted_rows(n, 12))}
-    return n, base, draw(small_weighted_rows(n, 16))
-
-
 class TestContainers:
     @pytest.mark.parametrize(
         "make, match",
@@ -423,22 +415,6 @@ class TestContainers:
         else:
             assert np.array_equal(_kept_rows(n, rows), first)
 
-    @given(union_cases())
-    @example((3, {}, [(1, 0, 2), (0, 1, 3), (1, 0, 1)]))  # empty G; a pair twice in extra
-    @example((3, {(1, 2): 5, (0, 1): 2}, []))  # empty extra
-    @example((3, {(0, 1): 2, (2, 0): 1}, [(2, 0, 3), (0, 1, 2), (0, 1, 2), (0, 1, 1)]))
-    def test_union_min_keeps_each_pairs_least_weight(self, case):
-        n, base, extra = case
-        g = WeightedDigraph(n, [(u, v, w) for (u, v), w in base.items()])
-        least = dict(base)
-        for u, v, w in extra:
-            least[u, v] = min(w, least.get((u, v), w))
-        want = sorted([u, v, w] for (u, v), w in least.items())
-        for rows in (extra, np.array(extra, np.int64).reshape(-1, 3), sorted(extra)):
-            union = g.union_min(rows)
-            assert type(union) is WeightedDigraph and union.n == n
-            assert union.array.tolist() == want
-
     @pytest.mark.parametrize(
         "extra, message",
         [
@@ -448,10 +424,9 @@ class TestContainers:
             ([(0, 2, 4), (1, 2, 0)], "edge (1, 2) has weight 0 < 1"),
         ],
     )
-    def test_union_min_rejects_bad_extra_rows(self, extra, message):
-        g = WeightedDigraph(3, [(0, 1, 2), (2, 0, 5)])
+    def test_bad_rows_named_before_keying(self, extra, message):
         with pytest.raises(ValueError, match=re.escape(message)):
-            g.union_min(extra)
+            WeightedDigraph(3, [(0, 1, 2), (2, 0, 5), *extra])
 
     @pytest.mark.parametrize(
         "cls, rows",

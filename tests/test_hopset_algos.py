@@ -70,7 +70,11 @@ def weighted_grid(n: int, w_max: int, seed: int) -> WeightedDigraph:
 
 
 def union_with(g: WeightedDigraph, h: HopsetEdges) -> WeightedDigraph:
-    return g.union_min(h.edges)
+    """G ∪ H keeping each pair's least weight."""
+    least: dict[tuple[int, int], int] = {}
+    for u, v, w in [*g.array.tolist(), *h.array.tolist()]:
+        least[u, v] = min(w, least.get((u, v), w))
+    return WeightedDigraph(g.n, [(u, v, w) for (u, v), w in least.items()])
 
 
 class TestEps:

@@ -238,10 +238,25 @@ def hop_bellman_ford(n: int, triples, beta: int) -> list[list[float]]:
     return dist
 
 
+def weighted_rows(n: int, max_size: int) -> st.SearchStrategy:
+    """Lists of rows (u, v, w), u != v in [0, n) and w in [1, 4]: pairs and weights repeat."""
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    row = st.tuples(pair, st.integers(1, 4)).map(lambda r: (*r[0], r[1]))
+    return st.lists(row, max_size=max_size)
+
+
+@st.composite
+def union_cases(draw) -> tuple[int, dict[tuple[int, int], int], list[tuple[int, int, int]]]:
+    """n, G's weight per pair and unsorted extra rows."""
+    n = draw(st.integers(2, 6))
+    base = {(u, v): w for u, v, w in draw(weighted_rows(n, 12))}
+    return n, base, draw(weighted_rows(n, 16))
+
+
 class TestOracleKernels:
     def test_kernels_are_the_oracles_own(self):
         for kernel in (oracles.apsp, oracles.hop_limited_dist, oracles._reach_rows,
-                       oracles._hop_levels, oracles._grouped_or):
+                       oracles._hop_levels, oracles._grouped_or, oracles._union_min):
             assert kernel.__module__ == "shortcutforge.oracles", kernel.__name__
         tree = ast.parse(inspect.getsource(oracles))
         imported = {
@@ -252,6 +267,22 @@ class TestOracleKernels:
             for alias in node.names
         }
         assert imported == {"Digraph", "WeightedDigraph"}
+
+    @given(union_cases())
+    @example((3, {}, [(1, 0, 2), (0, 1, 3), (1, 0, 1)]))  # empty G; a pair twice in extra
+    @example((3, {(1, 2): 5, (0, 1): 2}, []))  # empty extra
+    @example((3, {(0, 1): 2, (2, 0): 1}, [(2, 0, 3), (0, 1, 2), (0, 1, 2), (0, 1, 1)]))
+    def test_union_min_keeps_each_pairs_least_weight(self, case):
+        n, base, extra = case
+        g = WeightedDigraph(n, [(u, v, w) for (u, v), w in base.items()])
+        least = dict(base)
+        for u, v, w in extra:
+            least[u, v] = min(w, least.get((u, v), w))
+        want = sorted([u, v, w] for (u, v), w in least.items())
+        for rows in (extra, sorted(extra)):
+            union = oracles._union_min(g, np.array(rows, np.int64).reshape(-1, 3))
+            assert type(union) is WeightedDigraph and union.n == n
+            assert union.array.tolist() == want
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from shortcutforge import graph_core, shortcut_algos
 from shortcutforge._intmath import ceil_root, floor_root
@@ -281,6 +283,14 @@ class TestLargeD:
                 while r**k * n < x:
                     r += 1
                 assert max(1, ceil_root(-(-x // n), k)) == r, (n, d)
+
+    @given(st.integers(1, 5), st.integers(-3, 10**18), st.integers(0, 10**6), st.integers(-1, 1))
+    @example(3, 27, 3, 0)  # 27 ** (1/3) is 3.0000000000000004
+    def test_ceil_root_is_the_least_root(self, k, n, base, step):
+        # the smallest t >= 0 with t^k >= x, at any x and next to exact powers
+        for x in (n, base**k + step):
+            t = ceil_root(x, k)
+            assert t >= 0 and t**k >= x and (t == 0 or (t - 1) ** k < x), (x, k)
 
     def test_forward_ids_skip_condense(self, monkeypatch):
         # the condensation build_shortcuts hands over has forward ids, so
