@@ -19,26 +19,20 @@ from .graph_core import (
     check_acyclic,
     condense,
     dump_edge_list,
-    hop_limited_dist,
     load_edge_list,
     load_edge_rows,
     scc_star_edges,
     transitive_closure,
     transitive_reduction,
-    unit_weights,
-    weighted_closure,
 )
 from .hopset_algos import (
     HopsetEdges,
     HopsetParams,
-    NicePathCollection,
     as_eps,
     build_hopset,
     geometric_ladder,
     hopset_large_hop,
     hopset_small_hop,
-    ladder_size_limit,
-    nice_collection,
     partition_subpaths,
 )
 from .line_shortcut import PathShortcut, shortcut_path
@@ -46,7 +40,6 @@ from .oracles import (
     Check,
     VerificationReport,
     verify_hopset,
-    verify_nice,
     verify_shortcut,
 )
 from .shortcut_algos import (
@@ -77,31 +70,24 @@ __all__ = [
     "check_acyclic",
     "condense",
     "dump_edge_list",
-    "hop_limited_dist",
     "load_edge_list",
     "load_edge_rows",
     "scc_star_edges",
     "transitive_closure",
     "transitive_reduction",
-    "unit_weights",
-    "weighted_closure",
     "HopsetEdges",
     "HopsetParams",
-    "NicePathCollection",
     "as_eps",
     "build_hopset",
     "geometric_ladder",
     "hopset_large_hop",
     "hopset_small_hop",
-    "ladder_size_limit",
-    "nice_collection",
     "partition_subpaths",
     "PathShortcut",
     "shortcut_path",
     "Check",
     "VerificationReport",
     "verify_hopset",
-    "verify_nice",
     "verify_shortcut",
     "ShortcutParams",
     "ShortcutSet",

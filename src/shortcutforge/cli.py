@@ -240,7 +240,7 @@ def _line_cells(lineno: int, body: str) -> list[tuple]:
     density = float(fields["density"]) if "density" in fields else None
     W = int(fields["W"]) if "W" in fields else None
     knobs = [int(k) for k in fields[needs[0]].split(",")]
-    eps = Fraction(fields["eps"]) if hopset else None
+    eps = as_eps(fields["eps"]) if hopset else None
     cs = [positive_float(v) for v in fields.get("c", "3").split(",")]
     seeds = _parse_seed_values(fields.get("seeds", "0"))
     check_spec(GenSpec(family, n, p, density, W))
@@ -253,14 +253,15 @@ def _line_cells(lineno: int, body: str) -> list[tuple]:
 
 
 def _check_knobs(algorithm: str, family: str, n: int, knob: int, eps: Fraction | None) -> None:
-    """Raise the ValueError the cell's construction raises for its D, or beta and eps.
+    """Raise the ValueError the cell's construction raises for its D or beta.
+
+    eps, None for a shortcut cell, has passed ``as_eps`` already.
 
     The shortcut routes run on the condensation, which has n vertices in the
     acyclic families; a random_digraph's may have fewer, so there only the
     bounds that do not depend on n are checked before the cell runs.
     """
     if eps is not None:
-        as_eps(eps)
         if algorithm == "hopset_large":
             check_large_hop_budget(n, knob)
         else:
@@ -279,7 +280,7 @@ def _parse_bench_config(text: str) -> list[tuple]:
         if body:
             try:
                 cells += _line_cells(lineno, body)
-            except (ValueError, ZeroDivisionError, argparse.ArgumentTypeError) as err:
+            except (ValueError, argparse.ArgumentTypeError) as err:
                 raise ValueError(f"config line {lineno}: {err}") from None
     return cells
 

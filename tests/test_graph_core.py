@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from references import unit_weights, weighted_closure
 from shortcutforge import graph_core
 from shortcutforge.cli import main as cli_main
 from shortcutforge.generators import GenSpec, generate, subdivide
@@ -33,8 +34,6 @@ from shortcutforge.graph_core import (
     load_edge_rows,
     scc_star_edges,
     transitive_closure,
-    unit_weights,
-    weighted_closure,
 )
 from shortcutforge.graph_core import (  # the old reader's and writer's helpers, for the references
     LoadReport,

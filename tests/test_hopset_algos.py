@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from references import ladder_size_limit, nice_collection, verify_nice
 from shortcutforge import hopset_algos
 from shortcutforge._intmath import ceil_root
 from shortcutforge._seeds import (
@@ -31,18 +32,15 @@ from shortcutforge.hopset_algos import (
     MIN_HOPBOUND,
     HopsetEdges,
     HopsetParams,
-    NicePathCollection,
     _extract_nice_paths,
     as_eps,
     build_hopset,
     geometric_ladder,
     hopset_large_hop,
     hopset_small_hop,
-    ladder_size_limit,
-    nice_collection,
     partition_subpaths,
 )
-from shortcutforge.oracles import verify_hopset, verify_nice
+from shortcutforge.oracles import verify_hopset
 
 EPS14 = Fraction(1, 4)
 
@@ -120,13 +118,11 @@ class TestNiceCollection:
             nice_collection(unit_path(10), 11)
 
     def test_unit_path_pairs_off_in_triples(self):
-        q = nice_collection(unit_path(25), 24)
-        assert q.hops == 2
-        assert q.paths == tuple(
-            (3 * i, 3 * i + 1, 3 * i + 2) for i in range(8)
-        )
-        assert all(ws == (1, 1) for ws in q.edge_weights)
-        assert q.lengths == (2,) * 8
+        paths, weights = nice_collection(unit_path(25), 24)
+        assert {len(p) - 1 for p in paths} == {2}
+        assert paths == [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(8)]
+        assert all(ws == (1, 1) for ws in weights)
+        assert [sum(ws) for ws in weights] == [2] * 8
 
     def test_direct_edges_beat_detours_gives_empty(self):
         # all-ones complete DAG: every 2-hop route costs 2 > 1
@@ -134,21 +130,19 @@ class TestNiceCollection:
         g = WeightedDigraph(
             n, [(i, j, 1) for i in range(n) for j in range(i + 1, n)]
         )
-        q = nice_collection(g, 24)
-        assert len(q) == 0
+        assert nice_collection(g, 24) == ([], [])
 
     def test_random_instances_verify(self):
         for seed in range(8):
             g = random_weighted(40, 0.12, 8, seed)
-            q = nice_collection(g, 24)
-            rep = verify_nice(g, q)
+            rep = verify_nice(g, *nice_collection(g, 24), 24)
             assert rep.ok, rep.failures()
 
     def test_paths_are_vertex_disjoint(self):
         g = random_weighted(50, 0.1, 9, 123)
-        q = nice_collection(g, 36)
+        paths, _ = nice_collection(g, 36)
         seen: set[int] = set()
-        for p in q.paths:
+        for p in paths:
             assert not (seen & set(p))
             seen.update(p)
 
@@ -178,21 +172,24 @@ class TestExtractCost:
 
     def test_unit_path_one_kernel_call(self, monkeypatch):
         sizes, kernels = self.spy(monkeypatch)
-        assert len(nice_collection(unit_path(25), 24)) == 8
+        assert len(nice_collection(unit_path(25), 24)[0]) == 8
         # one kernel call, then one DP per path on its interval {3i, 3i+1, 3i+2}
         assert kernels == [True] and sizes == [3] * 8
 
     @pytest.mark.parametrize("beta", [24, 36, 48])
     def test_dp_runs_on_intervals(self, monkeypatch, beta):
         sizes, kernels = self.spy(monkeypatch)
-        assert len(nice_collection(weighted_grid(100, 3, 7), beta)) >= 2
+        assert len(nice_collection(weighted_grid(100, 3, 7), beta)[0]) >= 2
         assert kernels == [True]
         # every re-check runs on a shortest-path interval, not the residual graph
         assert sizes and max(sizes) < 50
 
     @pytest.mark.parametrize(
         "build",
-        [nice_collection, lambda g, beta: hopset_small_hop(g, beta, EPS14, seed=1)],
+        [
+            lambda g, beta: nice_collection(g, beta)[0],
+            lambda g, beta: hopset_small_hop(g, beta, EPS14, seed=1),
+        ],
         ids=["nice_collection", "hopset_small_hop"],
     )
     def test_one_hop_runs_no_kernel_and_no_dp(self, monkeypatch, build):
@@ -237,39 +234,38 @@ class TestExtractCost:
 class TestPartition:
     def test_two_unit_edges_split_at_half(self):
         g = unit_path(25)
-        q = nice_collection(g, 24)  # paths of weights (1, 1)
-        parts = partition_subpaths(q, "1/2")
+        paths, weights = nice_collection(g, 24)  # paths of weights (1, 1)
+        parts = partition_subpaths(paths, weights, "1/2")
         first = parts[0]
         assert first == ((0, 1), (2,))
 
     def test_one_tuple_of_pieces_per_path(self):
-        q = nice_collection(random_weighted(48, 0.12, 7, 3), 36)
-        parts = partition_subpaths(q, EPS14)
-        assert type(parts) is tuple and len(parts) == len(q.paths) > 0
+        paths, weights = nice_collection(random_weighted(48, 0.12, 7, 3), 36)
+        parts = partition_subpaths(paths, weights, EPS14)
+        assert type(parts) is tuple and len(parts) == len(paths) > 0
         for pieces in parts:
             assert type(pieces) is tuple and all(type(p) is tuple for p in pieces)
         empty = nice_collection(WeightedDigraph(3, []), 36)
-        assert partition_subpaths(empty, EPS14) == ()
+        assert partition_subpaths(*empty, EPS14) == ()
 
     def test_piece_budget(self):
         for seed in range(6):
             g = random_weighted(48, 0.12, 7, seed)
-            q = nice_collection(g, 36)
+            paths, weights = nice_collection(g, 36)
             for eps in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)):
-                parts = partition_subpaths(q, eps)
+                parts = partition_subpaths(paths, weights, eps)
                 limit = -(-2 * eps.denominator // eps.numerator) + 1
-                for path, pieces in zip(q.paths, parts):
+                for path, pieces in zip(paths, parts):
                     assert 1 <= len(pieces) <= limit
                     # pieces are contiguous runs covering the path
                     assert tuple(v for piece in pieces for v in piece) == path
 
     def test_piece_weight_within_budget(self):
         g = random_weighted(48, 0.15, 9, 11)
-        q = nice_collection(g, 24)
-        parts = partition_subpaths(q, EPS14)
-        for verts, ws, total, pieces in zip(
-            q.paths, q.edge_weights, q.lengths, parts
-        ):
+        paths, weights = nice_collection(g, 24)
+        parts = partition_subpaths(paths, weights, EPS14)
+        for verts, ws, pieces in zip(paths, weights, parts):
+            total = sum(ws)
             offsets = {v: i for i, v in enumerate(verts)}
             for piece in pieces:
                 s, t = offsets[piece[0]], offsets[piece[-1]]
@@ -389,10 +385,10 @@ class TestSmallHop:
         for seed in range(4):
             g = random_weighted(80, 0.08, 10, seed)
             h = hopset_small_hop(g, 24, EPS14, seed=seed)
-            q = nice_collection(g, 24)
+            paths, _ = nice_collection(g, 24)
             dist = apsp(g)
             edge_set = {(u, v) for u, v, _, _ in h.tagged}
-            for path in q.paths:
+            for path in paths:
                 for a in path:
                     for b in path:
                         if a != b and np.isfinite(dist[a, b]):
@@ -542,16 +538,15 @@ def _reference_small_hop(
     half = frac / 2
     dist = apsp(g)
     paths, weights = _extract_nice_paths(dist, apsp_hops(g, most=True)[1], beta)
-    q = NicePathCollection(paths, weights, beta)
 
     rows: list[tuple[int, int, int, str]] = []
-    for verts in q.paths:
+    for verts in paths:
         for a in verts:
             for b in verts:
                 if a != b and np.isfinite(dist[a, b]):
                     rows.append((a, b, int(dist[a, b]), "induced_closure"))
 
-    subpaths = [piece for pieces in partition_subpaths(q, half) for piece in pieces]
+    subpaths = [piece for pieces in partition_subpaths(paths, weights, half) for piece in pieces]
     p_samp = min(1.0, c * math.log(n) / beta)
     v_mask = sample_mask(seed, SITE_VERTEX_SAMPLE, n, p_samp)
     s_mask = sample_mask(seed, SITE_GROUP_SAMPLE, len(subpaths), p_samp)

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shortcutforge.graph_core import Digraph, hop_limited_dist, unit_weights
+from references import path_size_bound, unit_weights
+from shortcutforge.graph_core import Digraph, hop_limited_dist
 from shortcutforge.line_shortcut import shortcut_path
 
 
@@ -47,7 +48,7 @@ def test_two_hop_diameter_and_size_bound(n):
         assert hop_diameter_along(path, hs.edges) <= 2
     bound = n * max(1, math.ceil(math.log2(n))) if n > 1 else 0
     assert len(hs.edges) <= bound
-    assert hs.size_bound >= len(hs.edges)
+    assert path_size_bound(len(hs.path)) >= len(hs.edges)
 
 
 @given(st.integers(min_value=4, max_value=200))

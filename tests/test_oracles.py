@@ -15,23 +15,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csgraph, csr_matrix
 
+from references import ENUMERATION_VERTEX_CAP, nice_collection, verify_nice, weighted_closure
 from shortcutforge import graph_core, oracles
 from shortcutforge.generators import GenSpec, generate, subdivide
-from shortcutforge.graph_core import Digraph, WeightedDigraph, weighted_closure
-from shortcutforge.hopset_algos import (
-    NicePathCollection,
-    build_hopset,
-    hopset_small_hop,
-    nice_collection,
-)
+from shortcutforge.graph_core import Digraph, WeightedDigraph
+from shortcutforge.hopset_algos import build_hopset, hopset_small_hop
 from shortcutforge.oracles import (
-    ENUMERATION_VERTEX_CAP,
     Check,
     VerificationReport,
     _edge_array,
     _first_row,
     verify_hopset,
-    verify_nice,
     verify_shortcut,
 )
 from shortcutforge.shortcut_algos import build_shortcuts
@@ -154,26 +148,23 @@ class TestVerifyNice:
 
     def test_clean_pass(self):
         g = self.unit_path(25)
-        report = verify_nice(g, nice_collection(g, 24))
+        report = verify_nice(g, *nice_collection(g, 24), 24)
         assert report.ok
 
     def test_overlapping_paths_fail_n1(self):
         g = self.unit_path(25)
-        q = NicePathCollection([(0, 1, 2), (2, 3, 4)], [(1, 1), (1, 1)], 24)
-        report = verify_nice(g, q)
+        report = verify_nice(g, [(0, 1, 2), (2, 3, 4)], [(1, 1), (1, 1)], 24)
         assert status_of(report, "n1_disjoint_closure_paths") == "fail"
 
     def test_wrong_hop_count_fails_n2(self):
         g = self.unit_path(25)
-        q = NicePathCollection([(0, 1)], [(1,)], 24)
-        report = verify_nice(g, q)
+        report = verify_nice(g, [(0, 1)], [(1,)], 24)
         assert status_of(report, "n2_exact_hop_count") == "fail"
 
     def test_wrong_length_fails_n3(self):
         g = self.unit_path(25)
         # weights forged to sum to 3 while the true distance is 2
-        q = NicePathCollection([(0, 1, 2)], [(1, 2)], 24)
-        report = verify_nice(g, q)
+        report = verify_nice(g, [(0, 1, 2)], [(1, 2)], 24)
         assert status_of(report, "n1_disjoint_closure_paths") == "fail"
         assert status_of(report, "n3_length_is_distance") == "fail"
 
@@ -181,10 +172,7 @@ class TestVerifyNice:
         g = WeightedDigraph(
             6, [(0, 1, 2), (1, 2, 2), (3, 4, 1), (4, 5, 1)]
         )
-        q = NicePathCollection(
-            [(0, 1, 2), (3, 4, 5)], [(2, 2), (1, 1)], 24
-        )
-        report = verify_nice(g, q)
+        report = verify_nice(g, [(0, 1, 2), (3, 4, 5)], [(2, 2), (1, 1)], 24)
         assert status_of(report, "n4_lengths_nondecreasing") == "fail"
 
     def test_skipping_cheaper_path_fails_n5(self):
@@ -192,25 +180,19 @@ class TestVerifyNice:
             6, [(0, 1, 2), (1, 2, 2), (3, 4, 1), (4, 5, 1)]
         )
         # (3,4,5) of length 2 exists, starting with (0,1,2) is not minimal
-        q = NicePathCollection(
-            [(0, 1, 2), (3, 4, 5)], [(2, 2), (1, 1)], 24
-        )
-        report = verify_nice(g, q)
+        report = verify_nice(g, [(0, 1, 2), (3, 4, 5)], [(2, 2), (1, 1)], 24)
         assert status_of(report, "n5_locally_minimal") == "fail"
 
     def test_stopping_early_fails_n6(self):
         g = self.unit_path(25)
-        full = nice_collection(g, 24)
-        partial = NicePathCollection(
-            full.paths[:-1], full.edge_weights[:-1], 24
-        )
-        report = verify_nice(g, partial)
+        paths, weights = nice_collection(g, 24)
+        report = verify_nice(g, paths[:-1], weights[:-1], 24)
         assert status_of(report, "n5_locally_minimal") == "pass"
         assert status_of(report, "n6_no_long_residual_path") == "fail"
 
     def test_large_instance_skips_enumeration(self):
         g = self.unit_path(ENUMERATION_VERTEX_CAP + 5)
-        report = verify_nice(g, nice_collection(g, 24))
+        report = verify_nice(g, *nice_collection(g, 24), 24)
         assert status_of(report, "n5_locally_minimal") == "skip"
         assert status_of(report, "n6_no_long_residual_path") == "skip"
         assert report.ok  # skips are not failures

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from references import path_size_bound, unit_weights
 from shortcutforge import graph_core, shortcut_algos
 from shortcutforge._intmath import ceil_root, floor_root
 from shortcutforge.chain_decomp import decompose
@@ -21,7 +22,6 @@ from shortcutforge.graph_core import (
     hop_limited_dist,
     transitive_closure,
     transitive_reduction,
-    unit_weights,
 )
 from shortcutforge.oracles import verify_shortcut
 from shortcutforge.shortcut_algos import (
@@ -232,7 +232,7 @@ class TestSmallDiam:
             ell = min(g.n, -(-16 * g.n // d))
             chains = decompose(g, ell, transitive_closure(g)).chains
             assert chains
-            bound = sum(len(c) - 1 + shortcut_path(c).size_bound for c in chains)
+            bound = sum(len(c) - 1 + path_size_bound(len(shortcut_path(c).path)) for c in chains)
             assert 0 < hs.tag_counts["path_shortcut"] <= bound
 
     def test_soundness_and_target_sample(self):
