@@ -27,7 +27,6 @@ from .graph_core import (
 )
 from .hopset_algos import (
     HopsetEdges,
-    HopsetParams,
     as_eps,
     build_hopset,
     geometric_ladder,
@@ -43,7 +42,6 @@ from .oracles import (
     verify_shortcut,
 )
 from .shortcut_algos import (
-    ShortcutParams,
     ShortcutSet,
     build_shortcuts,
     first_incoming_edge,
@@ -76,7 +74,6 @@ __all__ = [
     "transitive_closure",
     "transitive_reduction",
     "HopsetEdges",
-    "HopsetParams",
     "as_eps",
     "build_hopset",
     "geometric_ladder",
@@ -89,7 +86,6 @@ __all__ = [
     "VerificationReport",
     "verify_hopset",
     "verify_shortcut",
-    "ShortcutParams",
     "ShortcutSet",
     "build_shortcuts",
     "first_incoming_edge",

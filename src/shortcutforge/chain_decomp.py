@@ -34,12 +34,6 @@ class ChainDecomposition:
     chains: tuple[tuple[int, ...], ...]
     antichains: tuple[frozenset[int], ...]
 
-    def covered(self) -> list[int]:
-        """All vertices listed once per appearance (for cover checks)."""
-        out = [v for chain in self.chains for v in chain]
-        out.extend(v for anti in self.antichains for v in sorted(anti))
-        return out
-
 
 def _generations(dag: Digraph) -> np.ndarray:
     """Edges on the longest path ending at each vertex of an acyclic dag.
@@ -77,7 +71,6 @@ def decompose(
     check_acyclic(dag)
     if passes:  # closure ancestors, read by the walk back
         pred = closure.rows()
-        np.fill_diagonal(pred, False)
 
     # Per generation: its vertices, their in-edges' sources, each one's first in-edge.
     gen = _generations(dag)

@@ -30,10 +30,10 @@ from .graph_core import (
     load_edge_rows,
     transitive_closure,
 )
-from .hopset_algos import HOPSET_TAGS, as_eps, build_hopset, hopset_large_hop, hopset_small_hop
+from .hopset_algos import HopsetEdges, as_eps, build_hopset, hopset_large_hop, hopset_small_hop
 from .hopset_algos import check_hop_budget, check_large_hop_budget
 from .oracles import verify_hopset, verify_shortcut
-from .shortcut_algos import TAGS, build_shortcuts, folklore, tc_spanner
+from .shortcut_algos import ShortcutSet, build_shortcuts, folklore, tc_spanner
 from .shortcut_algos import check_folklore, shortcut_regime
 
 SHORTCUT_MODES = ("auto", "small", "large", "folklore", "tcspanner")
@@ -55,8 +55,8 @@ CSV_COLUMNS = (
     "c",
     "seed",
     "edges_total",
-    *TAGS,
-    *HOPSET_TAGS,
+    *ShortcutSet.TAGS,
+    *HopsetEdges.TAGS,
     "achieved_diameter",
     "achieved_hops",
     "achieved_stretch",

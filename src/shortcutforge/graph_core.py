@@ -13,7 +13,7 @@ each hold one read-only int64 ``array`` sorted by (u, v), of shape (m, 2) or
 name) are views built on first access; kernels read the arrays.  The edge
 file formats, tagged or not, and the bit layout of a ReachabilityMatrix (row u
 is vertex u's, and bit v of a row is vertex v) are also decided here alone;
-other modules read the bits through rows() and has().
+other modules read the bits through rows().
 """
 
 from __future__ import annotations
@@ -174,10 +174,10 @@ class TaggedEdges(_EdgeArray):
     for every row or one name per row.  Rows are deduplicated by pair, the
     first row winning, and sorted.  They are stored as ``array`` plus
     ``codes``, each row's index into TAGS; ``tagged`` is a view.  Subclasses
-    fix the width and the tag vocabulary in TAGS.
+    fix the width and the tag vocabulary in TAGS.  Equality is by (n, rows,
+    codes).
     """
 
-    params: object
     codes: np.ndarray
 
     TAGS: ClassVar[tuple[str, ...]] = ()
@@ -187,7 +187,6 @@ class TaggedEdges(_EdgeArray):
         n: int,
         rows: Iterable[Sequence[int]] | np.ndarray,
         tags: str | Sequence[str] | np.ndarray,
-        params: object,
     ) -> None:
         check_vertex_count(n)
         rows = _int_rows(rows, self.WIDTH)
@@ -203,7 +202,7 @@ class TaggedEdges(_EdgeArray):
         keep = _kept_rows(n, rows, first_wins=True)
         codes = np.broadcast_to(codes, len(rows))[keep]
         codes.setflags(write=False)
-        self._store(n, rows[keep], codes=codes, params=params)
+        self._store(n, rows[keep], codes=codes)
 
     @property
     def tags(self) -> np.ndarray:
@@ -221,7 +220,7 @@ class TaggedEdges(_EdgeArray):
         return dict(zip(self.TAGS, counts.tolist()))
 
     def _key(self) -> tuple:
-        return (*super()._key(), self.codes.tobytes(), self.params)
+        return (*super()._key(), self.codes.tobytes())
 
     def __len__(self) -> int:
         return self.m
@@ -257,9 +256,6 @@ class ReachabilityMatrix:
         bits >>= (columns & 7).astype(np.uint8)
         bits &= 1
         return bits.view(bool)
-
-    def has(self, u: int, v: int) -> bool:
-        return bool(self.packed[u, v >> 3] >> (v & 7) & 1)
 
 
 @dataclass(frozen=True, eq=False)

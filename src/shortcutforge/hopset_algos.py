@@ -18,7 +18,6 @@ on that graph; when the sample is all of V, on G's own distances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, compress
 from typing import Sequence
@@ -29,8 +28,6 @@ from ._intmath import ceil_root, floor_root
 from ._seeds import SITE_GROUP_SAMPLE, SITE_VERTEX_SAMPLE, child_seed, sample_mask, site_rng
 from .graph_core import TaggedEdges, WeightedDigraph, apsp, apsp_hops
 from .graph_core import hop_limited_dist  # noqa: F401  not called; perfbench/spans.py wraps it
-
-HOPSET_TAGS = ("induced_closure", "geometric_ladder")
 
 MIN_HOPBOUND = 12
 
@@ -60,19 +57,11 @@ def check_large_hop_budget(n: int, beta: int) -> None:
         raise ValueError(f"hop budget {beta} below max({MIN_HOPBOUND}, floor(n^(1/4)))")
 
 
-@dataclass(frozen=True)
-class HopsetParams:
-    beta: int
-    eps: Fraction
-    const: float
-    seed: int
-
-
 class HopsetEdges(TaggedEdges):
-    """Tagged weighted rows (u, v, w, tag); params is a HopsetParams."""
+    """Tagged weighted rows (u, v, w, tag), w the exact distance of (u, v) in G."""
 
     WIDTH = 3
-    TAGS = HOPSET_TAGS
+    TAGS = ("induced_closure", "geometric_ladder")
 
 
 def _chain_lengths(sub: np.ndarray, end: int) -> tuple[np.ndarray, np.ndarray]:
@@ -283,11 +272,10 @@ def hopset_small_hop(
     """
     frac = as_eps(eps)
     check_hop_budget(beta)
-    params = HopsetParams(beta, frac, c, seed)
     if g.n <= 1:
-        return HopsetEdges(g.n, (), (), params)
+        return HopsetEdges(g.n, (), ())
     rows, tags = _small_hop_rows(*_dist_and_most_hops(g, beta), beta, frac / 2, c, seed)
-    return HopsetEdges(g.n, rows, tags, params)
+    return HopsetEdges(g.n, rows, tags)
 
 
 def hopset_large_hop(
@@ -320,16 +308,15 @@ def hopset_large_hop(
     """
     frac = as_eps(eps)
     check_large_hop_budget(g.n, beta)
-    params = HopsetParams(beta, frac, c, seed)
     n = g.n
     if n <= 1:
-        return HopsetEdges(n, (), (), params)
+        return HopsetEdges(n, (), ())
 
     size = min(n, math.ceil(c * (n / beta) ** (4.0 / 3.0) * math.log(n)))
     rng = site_rng(seed, SITE_VERTEX_SAMPLE)
     sampled = np.sort(rng.choice(n, size=size, replace=False))
     if len(sampled) <= 1:
-        return HopsetEdges(n, (), (), params)
+        return HopsetEdges(n, (), ())
 
     full, fewest_hops = apsp_hops(g)
     beta_sub = max(MIN_HOPBOUND, int(len(sampled) ** 0.25 / math.log(n)))
@@ -348,7 +335,7 @@ def hopset_large_hop(
     # sampled is sorted, so mapped rows keep their pair order and first-row winners
     a, b = sampled[rows[:, :2].T]
     rows = np.column_stack([a, b, full[a, b].astype(np.int64)])
-    return HopsetEdges(n, rows, tags, params)
+    return HopsetEdges(n, rows, tags)
 
 
 def build_hopset(

@@ -17,7 +17,6 @@ from typing import Sequence
 class PathShortcut:
     """Shortcut edges for one path; vertices keep their graph-level ids."""
 
-    path: tuple[int, ...]
     edges: frozenset[tuple[int, int]]
 
 
@@ -44,4 +43,4 @@ def shortcut_path(path: Sequence[int]) -> PathShortcut:
             edges.add((p[mid], p[j]))
         segments.append((lo, mid - 1))
         segments.append((mid + 1, hi))
-    return PathShortcut(p, frozenset(edges))
+    return PathShortcut(frozenset(edges))

@@ -40,7 +40,7 @@ up stays below 2**53, where float64 still holds every integer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -80,24 +80,14 @@ class VerificationReport:
         return tuple(c for c in self.checks if c.status == "fail")
 
     def to_dict(self) -> dict:
-        return {
-            "instance": self.instance,
-            "ok": self.ok,
-            "checks": [
-                {
-                    "name": c.name,
-                    "status": c.status,
-                    "witness": list(c.witness) if c.witness is not None else None,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
-            "achieved_diameter": self.achieved_diameter,
-            "achieved_stretch": (
-                str(self.achieved_stretch) if self.achieved_stretch is not None else None
-            ),
-            "achieved_hops": self.achieved_hops,
-        }
+        """The fields in order, with ``ok`` after ``instance`` and the stretch as a str.
+
+        ``checks`` and each witness stay tuples; ``json.dumps`` writes them as lists.
+        """
+        out = {"instance": self.instance, "ok": self.ok, **asdict(self)}
+        if self.achieved_stretch is not None:
+            out["achieved_stretch"] = str(self.achieved_stretch)
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -358,6 +348,8 @@ def _hop_levels(
 
 def verify_shortcut(g: Digraph, h, d: int, instance: str = "") -> VerificationReport:
     """Closure membership, closure preservation, and hop diameter vs d."""
+    if d < 0:
+        raise ValueError(f"diameter target must be >= 0, got {d}")
     edges = _edge_array(h, 2)
     g_edges = _edge_array(g, 2)
     reach = _reach_rows(g.n, g_edges)
@@ -407,6 +399,8 @@ def verify_hopset(
 ) -> VerificationReport:
     """Weight exactness plus both sides of the (beta, eps) sandwich."""
     frac = _as_fraction(eps)
+    if beta < 0:
+        raise ValueError("hop bound must be >= 0")
     num, den = frac.numerator, frac.denominator
     triples = _edge_array(h, 3)
     dg = apsp(g)

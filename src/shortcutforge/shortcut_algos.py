@@ -12,7 +12,6 @@ small-diameter construction on that contracted graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,20 +33,11 @@ from .graph_core import (
 )
 from .line_shortcut import shortcut_path
 
-TAGS = ("path_shortcut", "sampled_pair", "baseline", "lifted")
-
-
-@dataclass(frozen=True)
-class ShortcutParams:
-    diameter: int
-    const: float
-    seed: int
-
 
 class ShortcutSet(TaggedEdges):
-    """Tagged shortcut rows (u, v, tag); params is a ShortcutParams."""
+    """Tagged shortcut rows (u, v, tag), each a transitive-closure pair."""
 
-    TAGS = TAGS
+    TAGS = ("path_shortcut", "sampled_pair", "baseline", "lifted")
 
 
 def check_folklore(d: int) -> None:
@@ -59,16 +49,15 @@ def check_folklore(d: int) -> None:
 def folklore(g: Digraph, d: int, c: float = 3.0, *, seed: int) -> ShortcutSet:
     """Baseline: all closure pairs between vertices sampled at c*ln(n)/d."""
     check_folklore(d)
-    params = ShortcutParams(d, c, seed)
     if g.n <= 1:
-        return ShortcutSet(g.n, (), (), params)
+        return ShortcutSet(g.n, (), ())
     p = min(1.0, c * math.log(g.n) / d)
     sampled = np.flatnonzero(sample_mask(seed, SITE_VERTEX_SAMPLE, g.n, p))
     bits = transitive_closure(g).rows(sampled, sampled)
     np.fill_diagonal(bits, False)
     pairs = sampled[np.argwhere(bits)]
     del bits  # at most n x n bytes, not needed while the set is built
-    return ShortcutSet(g.n, pairs, "baseline", params)
+    return ShortcutSet(g.n, pairs, "baseline")
 
 
 def first_incoming_edge(
@@ -120,10 +109,9 @@ def shortcut_small_diam(
     chain's edges plus its midpoint shortcuts, then the first-incoming edge
     from every sampled vertex into every sampled chain.
     """
-    params = ShortcutParams(d, c, seed)
     n = g.n
     if n == 0:
-        return ShortcutSet(0, (), (), params)
+        return ShortcutSet(0, (), ())
     check_small_diam(n, d)
     closure = transitive_closure(g)
     ell = min(n, -(-16 * n // d))
@@ -141,7 +129,7 @@ def shortcut_small_diam(
     hits = first_incoming_edge(closure, np.flatnonzero(v_mask), sampled)
     rows = np.concatenate([np.array(pairs, dtype=np.int64).reshape(-1, 2), hits])
     tags = np.repeat(["path_shortcut", "sampled_pair"], [len(pairs), len(hits)])
-    return ShortcutSet(n, rows, tags, params)
+    return ShortcutSet(n, rows, tags)
 
 
 def shortcut_large_d(
@@ -154,25 +142,24 @@ def shortcut_large_d(
     construction on that graph; its output maps straight back since every
     edge of the sampled graph is itself a closure pair of g.
     """
-    params = ShortcutParams(d, c, seed)
     n = g.n
     check_large_d(n, d)
     if n <= 1:
-        return ShortcutSet(n, (), (), params)
+        return ShortcutSet(n, (), ())
     check_acyclic(g)
 
     p = min(1.0, c * math.sqrt(n) * math.log(n) / d**1.5)
     sampled = np.flatnonzero(sample_mask(seed, SITE_VERTEX_SAMPLE, n, p))
     n_sub = len(sampled)
     if n_sub <= 1:
-        return ShortcutSet(n, (), (), params)
+        return ShortcutSet(n, (), ())
 
     r = max(1, ceil_root(-(-(d**3) // n), 2))
     sub = closure_digraph(bounded_reachability(g, r)[np.ix_(sampled, sampled)])
 
     d_sub = max(3, int(n_sub ** (1.0 / 3.0) / math.log(n)))
     inner = shortcut_small_diam(sub, d_sub, c, seed=child_seed(seed))
-    return ShortcutSet(n, sampled[inner.array], inner.tags, params)
+    return ShortcutSet(n, sampled[inner.array], inner.tags)
 
 
 def shortcut_regime(
@@ -209,7 +196,6 @@ def build_shortcuts(
     lifts to at most 3 in g (star, edge, star) and each end adds one star
     hop, so g's union has hop diameter at most 3h + 2.
     """
-    params = ShortcutParams(d, c, seed)
     cond = condense(g)
     dag = cond.dag
     construct = shortcut_regime(dag.n, d, mode)
@@ -224,7 +210,7 @@ def build_shortcuts(
     stars = scc_star_edges(g, cond)
     rows.append(stars)
     tags.append(np.full(len(stars), "lifted"))
-    return ShortcutSet(g.n, np.concatenate(rows), np.concatenate(tags), params)
+    return ShortcutSet(g.n, np.concatenate(rows), np.concatenate(tags))
 
 
 def tc_spanner(g: Digraph, k: int, c: float = 3.0, *, seed: int) -> ShortcutSet:
@@ -247,4 +233,4 @@ def tc_spanner(g: Digraph, k: int, c: float = 3.0, *, seed: int) -> ShortcutSet:
     base = Digraph(g.n, np.concatenate(parts))
     h = build_shortcuts(base, k, c, seed=seed)
     tags = np.concatenate([np.full(base.m, "baseline"), h.tags])
-    return ShortcutSet(g.n, np.concatenate([base.array, h.array]), tags, h.params)
+    return ShortcutSet(g.n, np.concatenate([base.array, h.array]), tags)

@@ -10,7 +10,10 @@ surface was cut to what the CLI and the constructions call:
   construction runs it on a distance matrix;
 - ``ladder_size_limit`` bounds one geometric ladder's rungs;
 - ``path_size_bound`` bounds one path's midpoint-recursion shortcut;
-- ``weighted_closure`` and ``unit_weights`` build weighted graphs.
+- ``weighted_closure`` builds a weighted graph.
+
+``hop_counts`` is not from the package: the tests count hops with scipy's
+BFS rather than with the package's hop-limited DP.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse import csgraph, csr_matrix
 
 from shortcutforge.graph_core import Digraph, WeightedDigraph, apsp
 from shortcutforge.hopset_algos import _dist_and_most_hops, _extract_nice_paths, check_hop_budget
@@ -203,5 +207,7 @@ def weighted_closure(g: WeightedDigraph) -> WeightedDigraph:
     )
 
 
-def unit_weights(g: Digraph) -> WeightedDigraph:
-    return WeightedDigraph(g.n, np.column_stack([g.array, np.ones(g.m, np.int64)]))
+def hop_counts(g: Digraph) -> np.ndarray:
+    """Fewest edges from u to v per pair, by BFS; 0 on the diagonal, inf if unreachable."""
+    adj = csr_matrix((np.ones(g.m), (g.array[:, 0], g.array[:, 1])), shape=(g.n, g.n))
+    return csgraph.shortest_path(adj, unweighted=True)

@@ -112,6 +112,24 @@ def test_zero_denominator_eps_exits_2(tmp_path, monkeypatch, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "mode, flags, message",
+    [
+        ("shortcut", ["--diameter", "-5"], "diameter target must be >= 0, got -5"),
+        ("hopset", ["--beta", "-3", "--eps", "1/4"], "hop bound must be >= 0"),
+    ],
+)
+def test_verify_negative_target_is_a_usage_error(tmp_path, monkeypatch, capsys, mode, flags,
+                                                 message):
+    monkeypatch.chdir(tmp_path)
+    assert run("gen", "--family", "weighted_random", "--n", "20", "--p", "0.2",
+               "--W", "5", "--seed", "0", "--out", "g.txt") == 0
+    (tmp_path / "h.txt").write_text("20 0\n")
+    capsys.readouterr()
+    assert run("verify", "--graph", "g.txt", "--edges", "h.txt", "--mode", mode, *flags) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("const", ["0", "-1", "nan", "inf"])
 @pytest.mark.parametrize(
     "command",

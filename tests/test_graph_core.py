@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import re
 import tracemalloc
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from references import unit_weights, weighted_closure
+from references import hop_counts, weighted_closure
 from shortcutforge import graph_core
 from shortcutforge.cli import main as cli_main
 from shortcutforge.generators import GenSpec, generate, subdivide
@@ -42,8 +41,8 @@ from shortcutforge.graph_core import (  # the old reader's and writer's helpers,
     _int_rows,
     _kept_rows,
 )
-from shortcutforge.hopset_algos import HopsetEdges, HopsetParams
-from shortcutforge.shortcut_algos import ShortcutParams, ShortcutSet
+from shortcutforge.hopset_algos import HopsetEdges
+from shortcutforge.shortcut_algos import ShortcutSet
 
 
 def dense_adjacency(g: Digraph) -> np.ndarray:
@@ -472,7 +471,7 @@ class TestClosure:
                     assert got.dtype == bool and got.flags.c_contiguous
                     assert np.array_equal(got, closure_oracle(g))
 
-    def test_rows_and_has_against_dfs_oracle(self):
+    def test_rows_against_dfs_oracle(self):
         # Vertex subsets in any order, repeats included; each call a new
         # C-contiguous array the caller may write to.
         rng = np.random.default_rng(107)
@@ -495,7 +494,7 @@ class TestClosure:
             assert np.array_equal(reach.rows(), want)
             for u in range(n):
                 for v in range(n):
-                    assert reach.has(u, v) == want[u, v]
+                    assert reach.rows(np.array([u]), np.array([v]))[0, 0] == want[u, v]
 
     def test_rows_of_half_the_vertices_is_one_unpack(self):
         # 2048 rows of 4096 bits: 8 MiB of bools plus their 1 MiB of packed
@@ -557,8 +556,7 @@ class TestClosure:
     def test_empty_and_single(self):
         assert transitive_closure(Digraph(1, [])).rows().tolist() == [[True]]
         g = Digraph(2, [(0, 1)])
-        assert transitive_closure(g).has(0, 1)
-        assert not transitive_closure(g).has(1, 0)
+        assert transitive_closure(g).rows().tolist() == [[True, True], [False, True]]
 
     def test_idempotent(self):
         rng = np.random.default_rng(7)
@@ -572,7 +570,7 @@ class TestClosure:
         rng = np.random.default_rng(13)
         for _ in range(20):
             g = random_digraph(20, 0.12, rng)
-            hops = hop_limited_dist(unit_weights(g), g.n)
+            hops = hop_counts(g)
             for r in (1, 2, 3, 7):
                 got = bounded_reachability(g, r)
                 want = hops <= r
@@ -1027,67 +1025,63 @@ class TestEdgeListIO:
             Digraph(MAX_VERTICES + 1, [])
 
 
-SHORTCUT_PARAMS = ShortcutParams(4, 3.0, 0)
-HOPSET_PARAMS = HopsetParams(12, Fraction(1, 4), 3.0, 0)
-
-
 class TestTaggedEdges:
     @pytest.mark.parametrize(
-        "cls, params, rows, tags",
+        "cls, rows, tags",
         [
-            (ShortcutSet, SHORTCUT_PARAMS, [(2, 0), (0, 1), (1, 3), (2, 0)],
+            (ShortcutSet, [(2, 0), (0, 1), (1, 3), (2, 0)],
              ["baseline", "lifted", "path_shortcut", "lifted"]),
-            (HopsetEdges, HOPSET_PARAMS, [(2, 0, 5), (0, 1, 1), (1, 3, 2), (2, 0, 9)],
+            (HopsetEdges, [(2, 0, 5), (0, 1, 1), (1, 3, 2), (2, 0, 9)],
              ["geometric_ladder", "induced_closure", "induced_closure", "induced_closure"]),
         ],
     )
-    def test_equal_whatever_the_row_source(self, cls, params, rows, tags):
+    def test_equal_whatever_the_row_source(self, cls, rows, tags):
         arr = np.array(rows, dtype=np.int64)
         built = [
-            cls(4, arr, tags, params),
-            cls(4, list(arr), tags, params),  # 1-D row arrays
-            cls(4, rows, tags, params),
-            cls(4, (r for r in rows), tags, params),
-            cls(4, arr, np.array(tags, dtype=object), params),
+            cls(4, arr, tags),
+            cls(4, list(arr), tags),  # 1-D row arrays
+            cls(4, rows, tags),
+            cls(4, (r for r in rows), tags),
+            cls(4, arr, np.array(tags, dtype=object)),
         ]
         for h in built[1:]:
             assert h == built[0] and hash(h) == hash(built[0])
         assert built[0].m == 3
         assert built[0].tagged[2] == (*rows[0], tags[0])  # the first row wins
-        assert cls(4, arr[::-1], tags[::-1], params) != built[0]
+        assert cls(4, arr[::-1], tags[::-1]) != built[0]
 
     @pytest.mark.parametrize(
-        "cls, params, rows",
+        "cls, rows",
         [
-            (ShortcutSet, SHORTCUT_PARAMS, [(2, 0), (0, 1)]),
-            (HopsetEdges, HOPSET_PARAMS, [(2, 0, 5), (0, 1, 1)]),
+            (ShortcutSet, [(2, 0), (0, 1)]),
+            (HopsetEdges, [(2, 0, 5), (0, 1, 1)]),
         ],
     )
-    def test_one_tag_name_for_every_row(self, cls, params, rows):
+    def test_one_tag_name_for_every_row(self, cls, rows):
         tag = cls.TAGS[-1]
-        h = cls(3, rows, tag, params)
-        assert h == cls(3, rows, [tag] * len(rows), params)
+        h = cls(3, rows, tag)
+        assert h == cls(3, rows, [tag] * len(rows))
         assert h.tag_counts[tag] == len(rows)
-        assert cls(3, (), tag, params) == cls(3, (), (), params)
+        assert cls(3, (), tag) == cls(3, (), ())
 
     @pytest.mark.parametrize(
-        "cls, params, rows, tags, match",
+        "cls, rows, tags, match",
         [
-            (ShortcutSet, SHORTCUT_PARAMS, [(0, 1), (1, 2)], ["baseline", "x"],
+            (ShortcutSet, [(0, 1), (1, 2)], ["baseline", "x"],
              "unknown provenance tag 'x'"),
-            (ShortcutSet, SHORTCUT_PARAMS, [(0, 1, 4)], "baseline", "2 fields"),
-            (ShortcutSet, SHORTCUT_PARAMS, [(0, 1)], ["baseline"] * 2, "2 tags for 1 rows"),
-            (HopsetEdges, HOPSET_PARAMS, [(0, 1)], "induced_closure", "3 fields"),
-            (HopsetEdges, HOPSET_PARAMS, [(0, 1, 2**70)], "induced_closure", "int64"),
+            (ShortcutSet, [(0, 1, 4)], "baseline", "2 fields"),
+            (ShortcutSet, [(0, 1)], ["baseline"] * 2, "2 tags for 1 rows"),
+            (HopsetEdges, [(0, 1)], "induced_closure", "3 fields"),
+            (HopsetEdges, [(0, 1, 2**70)], "induced_closure", "int64"),
         ],
     )
-    def test_bad_rows_rejected(self, cls, params, rows, tags, match):
+    def test_bad_rows_rejected(self, cls, rows, tags, match):
         with pytest.raises(ValueError, match=match):
-            cls(3, rows, tags, params)
+            cls(3, rows, tags)
 
     def test_dump_writes_tags_under_an_n_m_header(self):
         h = HopsetEdges(
-            4, [(2, 0, 5), (0, 1, 1)], ["geometric_ladder", "induced_closure"], HOPSET_PARAMS
+            4, [(2, 0, 5), (0, 1, 1)], ["geometric_ladder", "induced_closure"]
         )
         text = dump_edge_list(h, ["made by hand"])
         assert text == "# made by hand\n4 2\n0 1 1 induced_closure\n2 0 5 geometric_ladder\n"
@@ -1116,8 +1110,7 @@ def edge_containers(draw) -> Digraph | WeightedDigraph | TaggedEdges:
     if cls in (Digraph, WeightedDigraph):
         return cls(n, np.array(rows, np.int64).reshape(-1, width))
     tags = draw(st.lists(st.sampled_from(cls.TAGS), min_size=len(rows), max_size=len(rows)))
-    params = SHORTCUT_PARAMS if cls is ShortcutSet else HOPSET_PARAMS
-    return cls(n, np.array(rows, np.int64).reshape(-1, width), tags, params)
+    return cls(n, np.array(rows, np.int64).reshape(-1, width), tags)
 
 
 class TestEdgeListWriter:
@@ -1129,9 +1122,9 @@ class TestEdgeListWriter:
         ["digit boundaries"],
     )
     @example(HopsetEdges(101, [(0, 9, 10**18), (100, 99, 2**63 - 1), (10, 0, 1)],
-                         "geometric_ladder", HOPSET_PARAMS), [])
+                         "geometric_ladder"), [])
     @example(Digraph(0), [])
-    @example(ShortcutSet(7, (), "baseline", SHORTCUT_PARAMS), ["no rows"])
+    @example(ShortcutSet(7, (), "baseline"), ["no rows"])
     def test_agrees_with_format_calls(self, g, comments):
         assert dump_edge_list(g) == dump_edge_list_by_format(g)
         assert dump_edge_list(g, comments) == dump_edge_list_by_format(g, comments)
@@ -1143,11 +1136,9 @@ class TestEdgeListWriter:
         rng = np.random.default_rng(83)
         u = rng.integers(0, 4000, 20_000)
         rows = np.column_stack([u, (u + rng.integers(1, 4000, 20_000)) % 4000])
-        params = SHORTCUT_PARAMS
         if cls is HopsetEdges:
             rows = np.column_stack([rows, rng.integers(10**8, 10**9, 20_000)])
-            params = HOPSET_PARAMS
-        h = cls(4000, rows, rng.choice(cls.TAGS, 20_000), params)
+        h = cls(4000, rows, rng.choice(cls.TAGS, 20_000))
         tracemalloc.start()
         try:
             text = dump_edge_list(h, ["memory check"])

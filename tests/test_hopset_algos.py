@@ -31,7 +31,6 @@ from shortcutforge.graph_core import (
 from shortcutforge.hopset_algos import (
     MIN_HOPBOUND,
     HopsetEdges,
-    HopsetParams,
     _extract_nice_paths,
     as_eps,
     build_hopset,
@@ -92,10 +91,7 @@ class TestEps:
 
 class TestHopsetEdges:
     def test_dedupe_first_wins(self):
-        params = HopsetParams(12, EPS14, 3.0, 0)
-        h = HopsetEdges(
-            3, [(0, 1, 5), (0, 1, 7)], ["induced_closure", "geometric_ladder"], params
-        )
+        h = HopsetEdges(3, [(0, 1, 5), (0, 1, 7)], ["induced_closure", "geometric_ladder"])
         assert h.tagged == ((0, 1, 5, "induced_closure"),)
 
     @pytest.mark.parametrize(
@@ -109,7 +105,7 @@ class TestHopsetEdges:
     )
     def test_rejects_bad_rows(self, row):
         with pytest.raises(ValueError):
-            HopsetEdges(2, [row[0]], row[1], HopsetParams(12, EPS14, 3.0, 0))
+            HopsetEdges(2, [row[0]], row[1])
 
 
 class TestNiceCollection:
@@ -530,10 +526,9 @@ def _reference_small_hop(
     frac = as_eps(eps)
     if beta < MIN_HOPBOUND:
         raise ValueError(f"hop budget must be >= {MIN_HOPBOUND}, got {beta}")
-    params = HopsetParams(beta, frac, c, seed)
     n = g.n
     if n <= 1:
-        return HopsetEdges(n, (), params)
+        return HopsetEdges(n, (), ())
 
     half = frac / 2
     dist = apsp(g)
@@ -555,7 +550,7 @@ def _reference_small_hop(
         for sp in picked:
             for src, tgt, wt in _reference_ladder(dist, v, sp, half):
                 rows.append((src, tgt, wt, "geometric_ladder"))
-    return HopsetEdges(n, [r[:3] for r in rows], [r[3] for r in rows], params)
+    return HopsetEdges(n, [r[:3] for r in rows], [r[3] for r in rows])
 
 
 # eps = 1/2^61 with weights up to 10^6 puts (1+eps)*dist past 2^63, and
@@ -602,16 +597,15 @@ def _reference_large_hop(
     Dijkstra: a sampled pair is kept when ``hop_limited_dist`` at radius r
     already meets ``apsp``."""
     frac = as_eps(eps)
-    params = HopsetParams(beta, frac, c, seed)
     n = g.n
     if n <= 1:
-        return HopsetEdges(n, (), (), params)
+        return HopsetEdges(n, (), ())
 
     size = min(n, math.ceil(c * (n / beta) ** (4.0 / 3.0) * math.log(n)))
     rng = site_rng(seed, SITE_VERTEX_SAMPLE)
     sampled = np.sort(rng.choice(n, size=size, replace=False))
     if len(sampled) <= 1:
-        return HopsetEdges(n, (), (), params)
+        return HopsetEdges(n, (), ())
 
     r = max(1, ceil_root(-(-(beta**4) // n), 3))
     full = apsp(g)
@@ -626,7 +620,7 @@ def _reference_large_hop(
     inner = hopset_small_hop(sub, beta_sub, frac, c, seed=child_seed(seed))
     a, b = sampled[inner.array[:, :2].T]
     rows = np.column_stack([a, b, full[a, b].astype(np.int64)])
-    return HopsetEdges(n, rows, inner.tags, params)
+    return HopsetEdges(n, rows, inner.tags)
 
 
 @settings(max_examples=80, deadline=None)

@@ -9,15 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from references import path_size_bound, unit_weights
-from shortcutforge.graph_core import Digraph, hop_limited_dist
+from references import hop_counts, path_size_bound
+from shortcutforge.graph_core import Digraph
 from shortcutforge.line_shortcut import shortcut_path
 
 
 def hop_diameter_along(path: list[int], extra: frozenset) -> int:
     edges = set(zip(path, path[1:])) | set(extra)
     g = Digraph(max(path) + 1, edges)
-    hops = hop_limited_dist(unit_weights(g), len(path))
+    hops = hop_counts(g)
     worst = 0
     for i, u in enumerate(path):
         for v in path[i + 1 :]:
@@ -48,7 +48,7 @@ def test_two_hop_diameter_and_size_bound(n):
         assert hop_diameter_along(path, hs.edges) <= 2
     bound = n * max(1, math.ceil(math.log2(n))) if n > 1 else 0
     assert len(hs.edges) <= bound
-    assert path_size_bound(len(hs.path)) >= len(hs.edges)
+    assert path_size_bound(n) >= len(hs.edges)
 
 
 @given(st.integers(min_value=4, max_value=200))

@@ -84,6 +84,13 @@ class TestVerifyShortcut:
         bad = next(c for c in report.checks if c.name == "closure_membership")
         assert bad.witness == (0, 3)
 
+    def test_negative_target_rejected(self):
+        g = Digraph(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match=r"^diameter target must be >= 0, got -5$"):
+            verify_shortcut(g, frozenset(), -5)
+        assert verify_shortcut(Digraph(1, []), frozenset(), 0).ok
+        assert status_of(verify_shortcut(g, frozenset(), 0), "diameter_at_most_target") == "fail"
+
 
 class TestVerifyHopset:
     def test_clean_pass(self):
@@ -140,6 +147,15 @@ class TestVerifyHopset:
         g = WeightedDigraph(3, [(0, 1, 2), (1, 2, 3)])
         with pytest.raises(ValueError, match="zero denominator"):
             verify_hopset(g, frozenset(), 12, "1/0")
+
+    def test_negative_hop_bound_rejected_before_apsp(self, monkeypatch):
+        def no_apsp(g):
+            raise AssertionError("apsp ran")
+
+        monkeypatch.setattr(oracles, "apsp", no_apsp)
+        g = WeightedDigraph(3, [(0, 1, 2), (1, 2, 3)])
+        with pytest.raises(ValueError, match=r"^hop bound must be >= 0$"):
+            verify_hopset(g, frozenset(), -3, EPS14)
 
 
 class TestVerifyNice:

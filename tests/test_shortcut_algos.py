@@ -9,23 +9,20 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from references import path_size_bound, unit_weights
+from references import hop_counts, path_size_bound
 from shortcutforge import graph_core, shortcut_algos
 from shortcutforge._intmath import ceil_root, floor_root
 from shortcutforge.chain_decomp import decompose
 from shortcutforge.generators import GenSpec, generate
-from shortcutforge.line_shortcut import shortcut_path
 from shortcutforge.graph_core import (
     Digraph,
     check_acyclic,
     condense,
-    hop_limited_dist,
     transitive_closure,
     transitive_reduction,
 )
 from shortcutforge.oracles import verify_shortcut
 from shortcutforge.shortcut_algos import (
-    ShortcutParams,
     ShortcutSet,
     build_shortcuts,
     first_incoming_edge,
@@ -54,7 +51,7 @@ def path_graph(n: int) -> Digraph:
 
 def hop_diameter(g: Digraph, extra) -> int:
     union = Digraph(g.n, set(g.edges) | set(extra))
-    hops = hop_limited_dist(unit_weights(union), g.n)
+    hops = hop_counts(union)
     finite = np.isfinite(hops)
     np.fill_diagonal(finite, False)
     return int(hops[finite].max()) if finite.any() else 0
@@ -97,8 +94,7 @@ def closure_pairs(g: Digraph) -> set[tuple[int, int]]:
 
 class TestShortcutSet:
     def test_dedupe_keeps_first_tag(self):
-        params = ShortcutParams(4, 3.0, 0)
-        hs = ShortcutSet(3, [(0, 1), (0, 1)], ["path_shortcut", "sampled_pair"], params)
+        hs = ShortcutSet(3, [(0, 1), (0, 1)], ["path_shortcut", "sampled_pair"])
         assert hs.tagged == ((0, 1, "path_shortcut"),)
         assert hs.tag_counts["path_shortcut"] == 1
 
@@ -112,7 +108,7 @@ class TestShortcutSet:
     )
     def test_rejects_bad_rows(self, rows):
         with pytest.raises(ValueError):
-            ShortcutSet(3, *rows, ShortcutParams(4, 3.0, 0))
+            ShortcutSet(3, *rows)
 
 
 class TestFirstIncoming:
@@ -120,11 +116,12 @@ class TestFirstIncoming:
         g = random_dag(64, 0.08, seed=11)
         closure = transitive_closure(g)
         chains = decompose(g, 16, closure).chains
+        bits = closure.rows()
         want = set()
         for v in range(g.n):
             for chain in chains:
                 for u in chain:
-                    if u != v and closure.has(v, u):
+                    if u != v and bits[v, u]:
                         want.add((v, u))
                         break
         got = first_incoming_edge(closure, np.arange(g.n), chains)
@@ -219,7 +216,7 @@ class TestSmallDiam:
             ]
             relabel = {v: i for i, v in enumerate(sorted(on_chain))}
             sub_g = Digraph(len(on_chain), [(relabel[u], relabel[v]) for u, v in sub])
-            hops = hop_limited_dist(unit_weights(sub_g), len(on_chain))
+            hops = hop_counts(sub_g)
             for i, u in enumerate(chain):
                 for v in chain[i + 1 :]:
                     assert hops[relabel[u], relabel[v]] <= 2
@@ -232,7 +229,7 @@ class TestSmallDiam:
             ell = min(g.n, -(-16 * g.n // d))
             chains = decompose(g, ell, transitive_closure(g)).chains
             assert chains
-            bound = sum(len(c) - 1 + path_size_bound(len(shortcut_path(c).path)) for c in chains)
+            bound = sum(len(c) - 1 + path_size_bound(len(c)) for c in chains)
             assert 0 < hs.tag_counts["path_shortcut"] <= bound
 
     def test_soundness_and_target_sample(self):
@@ -434,7 +431,7 @@ class TestTcSpanner:
         g = path_graph(33)
         union = tc_spanner(g, 4, 3.0, seed=2)
         assert isinstance(union, ShortcutSet) and union.n == g.n
-        hops = hop_limited_dist(unit_weights(union), g.n)
+        hops = hop_counts(union)
         for u, v in closure_pairs(g):
             assert hops[u, v] <= 4
 
@@ -444,7 +441,7 @@ class TestTcSpanner:
         union = tc_spanner(g, 3, 3.0, seed=6)
         ham = {(i, i + 1) for i in range(n - 1)}
         assert ham <= union.edges
-        hops = hop_limited_dist(unit_weights(union), n)
+        hops = hop_counts(union)
         for u, v in closure_pairs(g):
             assert hops[u, v] <= 3
 
@@ -452,7 +449,7 @@ class TestTcSpanner:
         g = random_dag(128, 0.06, seed=8)
         union = tc_spanner(g, 5, 3.0, seed=8)
         assert closure_pairs(union) == closure_pairs(g)
-        hops = hop_limited_dist(unit_weights(union), g.n)
+        hops = hop_counts(union)
         worst = max(hops[u, v] for u, v in closure_pairs(g))
         assert worst <= 5
 
@@ -468,7 +465,7 @@ class TestTcSpanner:
         g = Digraph(4 * rings, edges)
         union = tc_spanner(g, k, 3.0, seed=5)
         assert closure_pairs(union) == closure_pairs(g)
-        hops = hop_limited_dist(unit_weights(union), g.n)
+        hops = hop_counts(union)
         for u, v in closure_pairs(g):
             limit = 2 if u // 4 == v // 4 else k + 2
             assert hops[u, v] <= limit
@@ -489,4 +486,3 @@ class TestTcSpanner:
         assert on_base.sum() == base.m and set(got.tags[on_base]) == {"baseline"}
         tag_of = {(u, v): t for u, v, t in h.tagged}
         assert all(tag_of[u, v] == t for (u, v, t), b in zip(got.tagged, on_base) if not b)
-        assert got.params == ShortcutParams(k, 3.0, seed)
